@@ -15,12 +15,14 @@ from typing import Literal
 
 import random
 
+import numpy as np
+
 from .avoidance import SearchResult, count_solutions
 from .energy import additive_energy
 from .errors import BadOrder, BudgetExceeded, TooSmall, ZeroInX
 from .families import AffineEquation
 from .field import PrimeField, ResidueSet, dilate
-from .harmonic import IntegerProfile, convolve_add
+from .harmonic import IntegerProfile, _power_sum, convolve_add
 
 _BRUTE_COLLINEAR_MAX = 8
 _EXHAUSTIVE_NONAVG_MAX_P = 31
@@ -88,9 +90,10 @@ def _collinear_fast(a: ResidueSet) -> int:
     total = 2 * n**4
     # slanted lines y = m x + b, m != 0: n_{m,b} = (A_{-m} * A)(b)
     for m in range(1, p):
-        dil = IntegerProfile.from_set(dilate(a, (-m) % p))
-        conv = convolve_add(dil, ind)
-        total += sum(v**3 for v in conv.values)
+        dil = np.zeros(p, dtype=np.int64)
+        dil[[(p - m) * e % p for e in a.elements]] = 1
+        conv = convolve_add(IntegerProfile(a.field, dil), ind)
+        total += _power_sum(conv.values, 3)
     return total - p * n * n
 
 

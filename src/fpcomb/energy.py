@@ -17,6 +17,7 @@ from .errors import AsymmetricP, EmptyMass, FieldMismatch
 from .field import PrimeField, ResidueSet, is_symmetric
 from .harmonic import (
     IntegerProfile,
+    _power_sum,
     convolve_add,
     convolve_add_iterated,
     correlate_add,
@@ -52,8 +53,10 @@ def _require_same_field(*sets: ResidueSet) -> None:
 def additive_energy(a: ResidueSet, b: ResidueSet) -> EnergyValue:
     """E+(A,B) = #{a1 + b1 = a2 + b2}, computed as sum_x (A*B)(x)^2."""
     _require_same_field(a, b)
-    conv = convolve_add(IntegerProfile.from_set(a), IntegerProfile.from_set(b))
-    return EnergyValue("additive", sum(v * v for v in conv.values))
+    prof_a = IntegerProfile.from_set(a)
+    prof_b = prof_a if b == a else IntegerProfile.from_set(b)
+    conv = convolve_add(prof_a, prof_b)
+    return EnergyValue("additive", _power_sum(conv.values, 2))
 
 
 def multiplicative_energy(
@@ -80,7 +83,7 @@ def moment_T_k(a: ResidueSet, k: int) -> int:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     reps = convolve_add_iterated(IntegerProfile.from_set(a), k)
-    return sum(v * v for v in reps.values)
+    return _power_sum(reps.values, 2)
 
 
 def sigma_k(a: ResidueSet, k: int) -> int:
@@ -95,14 +98,14 @@ def restricted_sigma(a: ResidueSet, pset: ResidueSet) -> int:
     """sigma_P(A) = sum_{x in P} (A o A)(x)."""
     _require_same_field(a, pset)
     corr = correlate_add(IntegerProfile.from_set(a), IntegerProfile.from_set(a))
-    return sum(corr[x] for x in pset)
+    return _power_sum(corr.values[list(pset.elements)], 1)
 
 
 def restricted_energy(a: ResidueSet, b: ResidueSet, pset: ResidueSet) -> int:
     """E_P(A,B) = sum_{x in P} (A o B)(x)^2."""
     _require_same_field(a, b, pset)
     corr = correlate_add(IntegerProfile.from_set(a), IntegerProfile.from_set(b))
-    return sum(corr[x] ** 2 for x in pset)
+    return _power_sum(corr.values[list(pset.elements)], 2)
 
 
 def energy_star(a: ResidueSet) -> Fraction:

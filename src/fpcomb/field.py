@@ -7,7 +7,7 @@ eagerly, so every quantity downstream is computed with exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .errors import InvalidOrder, ZeroDilation, ZeroInverse
@@ -126,8 +126,12 @@ class ResidueSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 
+    @cached_property
+    def _members(self) -> frozenset[int]:
+        return frozenset(self.elements)
+
     def __contains__(self, x: int) -> bool:
-        return x % self.p in set(self.elements)
+        return x % self.p in self._members
 
     def as_set(self) -> set[int]:
         return set(self.elements)

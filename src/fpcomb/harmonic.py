@@ -3,69 +3,114 @@
 Two parallel computational paths are kept deliberately separate:
 
 * counting quantities (convolutions, energies, solution counts) are
-  computed with exact integer arithmetic -- schoolbook for small inputs,
-  big-integer coefficient packing (Kronecker substitution) for large ones;
-* spectrum magnitudes are computed in double precision, either by direct
-  summation over the support or by an O(p log p) transform (numpy's
-  pocketfft, which handles prime lengths via Bluestein's chirp).
+  computed with exact integer arithmetic.  One kernel dispatches between
+  three paths: schoolbook for small p; a float FFT product rounded to
+  integers, taken only when Percival's a-priori error bound is below 1/4
+  and kept only when the rounded result passes its run-time checks; and
+  big-integer coefficient packing (Kronecker substitution) for huge
+  coefficients or whenever the FFT result cannot be certified;
+* spectrum magnitudes are computed in double precision by an O(p log p)
+  transform (numpy's pocketfft, which handles prime lengths via
+  Bluestein's chirp).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import FieldMismatch
 from .field import PrimeField, ResidueSet
 
-# Below this modulus the O(p^2) schoolbook convolution is competitive.
-_SCHOOLBOOK_MAX_P = 512
+# Up to this modulus np.convolve beats the FFT path (measured crossover
+# near p = 300 on 0/1 inputs).
+_SCHOOLBOOK_MAX_P = 300
 
-# Direct DFT summation is used up to this support size.
-_DIRECT_DFT_MAX_SUPPORT = 64
+_INT64_LIMIT = 1 << 63
+_EPS = 2.0**-53
 
 
-@dataclass(frozen=True)
+def _exact_array(values: Iterable[int]) -> np.ndarray:
+    """A fresh int64 array of `values`, or an object array of Python ints
+    when some value does not fit in int64."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "bi":
+        return values.astype(np.int64)
+    ints = [operator.index(v) for v in values]
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
+
+
+def _power_sum(values: np.ndarray, k: int) -> int:
+    """Exact sum of v**k over non-negative integers, as a Python int.
+
+    Sums in int64 when max**k * len < 2**63, so no term or partial sum can
+    overflow; otherwise sums Python ints.
+    """
+    if values.size == 0:
+        return 0
+    if values.dtype != object and int(values.max()) ** k * values.size < _INT64_LIMIT:
+        return int((values if k == 1 else values**k).sum())
+    return sum(v**k for v in values.tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class IntegerProfile:
-    """An exact integer-valued function on F_p (e.g. representation counts)."""
+    """An exact integer-valued function on F_p (e.g. representation counts).
+
+    `values` is a read-only int64 array, or an object array of Python ints
+    when some value does not fit in int64; tuples and lists are accepted.
+    """
 
     field: PrimeField
-    values: tuple[int, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.field.p:
-            raise ValueError(
-                f"profile length {len(self.values)} != p = {self.field.p}"
-            )
-        if self.values and min(self.values) < 0:
+        vals = _exact_array(self.values)
+        if vals.shape != (self.field.p,):
+            raise ValueError(f"profile length {len(vals)} != p = {self.field.p}")
+        if vals.size and vals.min() < 0:
             raise ValueError("profile values must be non-negative")
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntegerProfile):
+            return NotImplemented
+        return self.field == other.field and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.field, tuple(self.values.tolist())))
 
     @classmethod
     def from_set(cls, a: ResidueSet) -> "IntegerProfile":
-        return cls(a.field, tuple(a.indicator()))
+        vals = np.zeros(a.p, dtype=np.int64)
+        vals[list(a.elements)] = 1
+        return cls(a.field, vals)
 
     @classmethod
     def delta(cls, fld: PrimeField, x: int) -> "IntegerProfile":
-        vals = [0] * fld.p
+        vals = np.zeros(fld.p, dtype=np.int64)
         vals[x % fld.p] = 1
-        return cls(fld, tuple(vals))
+        return cls(fld, vals)
 
     @property
     def p(self) -> int:
         return self.field.p
 
     def total(self) -> int:
-        return sum(self.values)
+        return _power_sum(self.values, 1)
 
     def __getitem__(self, x: int) -> int:
-        return self.values[x % self.p]
+        return int(self.values[x % self.p])
 
     def support(self) -> ResidueSet:
-        return ResidueSet(
-            self.field, tuple(x for x, v in enumerate(self.values) if v > 0)
-        )
+        return ResidueSet(self.field, tuple(np.flatnonzero(self.values).tolist()))
 
 
 def _check_same_field(f: IntegerProfile, g: IntegerProfile) -> None:
@@ -73,67 +118,114 @@ def _check_same_field(f: IntegerProfile, g: IntegerProfile) -> None:
         raise FieldMismatch(f"p = {f.field.p} vs p = {g.field.p}")
 
 
-def _cyclic_convolve_exact(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
-    """Exact cyclic convolution of length p.
-
-    Schoolbook for small p, otherwise coefficients are packed into one big
-    integer per operand (Kronecker substitution): a single CPython
-    big-integer multiply performs the whole linear convolution exactly.
-    """
-    maxf = max(f, default=0)
-    maxg = max(g, default=0)
-    if maxf == 0 or maxg == 0:
-        return [0] * p
-    # Every linear-convolution coefficient is at most this.
-    bound = min(maxf * sum(g), maxg * sum(f))
-    if p <= _SCHOOLBOOK_MAX_P and 2 * bound < (1 << 62):
-        lin = np.convolve(
-            np.asarray(f, dtype=np.int64), np.asarray(g, dtype=np.int64)
-        )
-        out = np.zeros(p, dtype=np.int64)
-        out[: lin.shape[0] - p] += lin[p:]
-        out[: min(p, lin.shape[0])] += lin[:p]
-        return out.tolist()
-
-    # Slot width in bytes so that every linear-convolution coefficient fits.
-    slot = (bound.bit_length() + 7) // 8
-    for width in (2, 4, 8):
-        if slot <= width:
-            slot = width
-            break
-
-    if slot <= 8:
-        packed_f = np.asarray(f, dtype=np.uint64).astype(f"<u{slot}").tobytes()
-        packed_g = np.asarray(g, dtype=np.uint64).astype(f"<u{slot}").tobytes()
-        prod = int.from_bytes(packed_f, "little") * int.from_bytes(packed_g, "little")
-        raw = prod.to_bytes(2 * p * slot, "little")
-        lin = np.frombuffer(raw, dtype=f"<u{slot}")[: 2 * p - 1]
-        if 2 * bound < (1 << 63):
-            out = lin[:p].astype(np.uint64)
-            out[: p - 1] += lin[p:].astype(np.uint64)
-            return out.tolist()
-        out = [int(v) for v in lin[:p]]
-        for i, c in enumerate(lin[p:]):
-            out[i] += int(c)
-        return out
-
-    # Huge coefficients: pack/unpack slot by slot with Python integers.
-    shift = slot * 8
-    big_f = sum(int(v) << (i * shift) for i, v in enumerate(f))
-    big_g = sum(int(v) << (i * shift) for i, v in enumerate(g))
-    prod = big_f * big_g
-    mask = (1 << shift) - 1
-    out = [0] * p
-    for i in range(2 * p - 1):
-        out[i % p] += (prod >> (i * shift)) & mask
+def _fold(lin: np.ndarray, p: int) -> np.ndarray:
+    """Wrap a length-(2p - 1) linear convolution onto Z/pZ."""
+    out = lin[:p].copy()
+    out[: p - 1] += lin[p:]
     return out
+
+
+def _fft_error_bound(norm_product: float, k: int) -> float:
+    """Percival's bound (Math. Comp. 72, 2003) on the max-norm error of a
+    product computed by float64 FFTs of length 2**k, for inputs whose
+    Euclidean norms multiply to `norm_product`; the error of the
+    precomputed roots of unity is taken as one unit roundoff."""
+    log_growth = 6 * k * math.log1p(_EPS) + (3 * k + 1) * math.log1p(
+        _EPS * math.sqrt(5)
+    )
+    return norm_product * math.expm1(log_growth)
+
+
+def _fft_cyclic(
+    f: np.ndarray, g: np.ndarray, p: int, bound: int, total: int
+) -> np.ndarray | None:
+    """Cyclic convolution by a rounded float FFT of length 2**k >= 2p - 1.
+
+    Returns None when the a-priori error bound is not below 1/4, or when
+    the rounded result fails a run-time check: every raw value within 1/4
+    of an integer, every rounded value in [0, bound], and the rounded
+    values summing to sum(f) * sum(g) exactly.
+    """
+    k = (2 * p - 2).bit_length()
+    n = 1 << k
+    ff = f.astype(np.float64)
+    gg = ff if g is f else g.astype(np.float64)
+    # einsum, not `@`: a BLAS dot may wake threads that compete with the FFT.
+    norm_product = math.sqrt(
+        float(np.einsum("i,i->", ff, ff)) * float(np.einsum("i,i->", gg, gg))
+    )
+    if not _fft_error_bound(norm_product, k) < 0.25:
+        return None
+    spec = np.fft.rfft(ff, n)
+    spec *= spec if g is f else np.fft.rfft(gg, n)
+    raw = np.fft.irfft(spec, n)[: 2 * p - 1]
+    lin = np.rint(raw)
+    raw -= lin
+    residual = np.abs(raw, out=raw).max()
+    if not (residual <= 0.25 and lin.min() >= 0 and lin.max() <= bound):
+        return None
+    out = _fold(lin.astype(np.int64), p)
+    return out if int(out.sum()) == total else None
+
+
+def _kronecker_cyclic(f: np.ndarray, g: np.ndarray, p: int, bound: int) -> np.ndarray:
+    """Cyclic convolution by one CPython big-integer multiply (Kronecker
+    substitution): coefficients are packed into byte slots wide enough
+    for `bound`, so the product's slots are the linear convolution."""
+    nbytes = (bound.bit_length() + 7) // 8
+    slot = next((w for w in (2, 4, 8) if nbytes <= w), nbytes)
+    if slot <= 8:
+        dtype = f"<u{slot}"
+        big_f = int.from_bytes(f.astype(dtype).tobytes(), "little")
+        big_g = int.from_bytes(g.astype(dtype).tobytes(), "little")
+        raw = (big_f * big_g).to_bytes(2 * p * slot, "little")
+        lin = np.frombuffer(raw, dtype=dtype)[: 2 * p - 1].astype(np.uint64)
+        out = _fold(lin, p)  # every cyclic coefficient is <= bound < 2**64
+        return out.astype(np.int64 if bound < _INT64_LIMIT else object)
+
+    # Huge coefficients: pack and unpack slot by slot with Python integers.
+    def pack(values: np.ndarray) -> int:
+        chunks = (v.to_bytes(slot, "little") for v in values.tolist())
+        return int.from_bytes(b"".join(chunks), "little")
+
+    raw = (pack(f) * pack(g)).to_bytes(2 * p * slot, "little")
+    lin = np.empty(2 * p - 1, dtype=object)
+    lin[:] = [
+        int.from_bytes(raw[i : i + slot], "little")
+        for i in range(0, (2 * p - 1) * slot, slot)
+    ]
+    return _fold(lin, p)
+
+
+def _cyclic_convolve_exact(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """Exact cyclic convolution of two non-negative length-p arrays.
+
+    Schoolbook for small p; otherwise the checked float FFT, falling back
+    to Kronecker substitution for coefficients too large for it or when
+    its result cannot be certified.  Returns int64 when every coefficient
+    fits, else an object array of Python ints.
+    """
+    sum_f = _power_sum(f, 1)
+    sum_g = _power_sum(g, 1)
+    if sum_f == 0 or sum_g == 0:
+        return np.zeros(p, dtype=np.int64)
+    # Every linear and every cyclic coefficient is at most this.
+    bound = min(int(f.max()) * sum_g, int(g.max()) * sum_f)
+    if p <= _SCHOOLBOOK_MAX_P and bound < _INT64_LIMIT:
+        return _fold(np.convolve(f, g), p)
+    # 2p * bound < 2**63 keeps the checked int64 sum of 2p - 1 rounded
+    # values in [0, bound] from overflowing.
+    if 2 * p * bound < _INT64_LIMIT:
+        out = _fft_cyclic(f, g, p, bound, sum_f * sum_g)
+        if out is not None:
+            return out
+    return _kronecker_cyclic(f, g, p, bound)
 
 
 def convolve_add(f: IntegerProfile, g: IntegerProfile) -> IntegerProfile:
     """(f * g)(x) = sum_y f(y) g(x - y), exact."""
     _check_same_field(f, g)
-    vals = _cyclic_convolve_exact(f.values, g.values, f.p)
-    return IntegerProfile(f.field, tuple(vals))
+    return IntegerProfile(f.field, _cyclic_convolve_exact(f.values, g.values, f.p))
 
 
 def correlate_add(f: IntegerProfile, g: IntegerProfile) -> IntegerProfile:
@@ -142,10 +234,8 @@ def correlate_add(f: IntegerProfile, g: IntegerProfile) -> IntegerProfile:
     Equals (f^c * g) where f^c(y) = f(-y).
     """
     _check_same_field(f, g)
-    p = f.p
-    reflected = tuple(f.values[(-x) % p] for x in range(p))
-    vals = _cyclic_convolve_exact(reflected, g.values, p)
-    return IntegerProfile(f.field, tuple(vals))
+    reflected = np.roll(f.values[::-1], 1)
+    return IntegerProfile(f.field, _cyclic_convolve_exact(reflected, g.values, f.p))
 
 
 def convolve_mult(f: IntegerProfile, g: IntegerProfile) -> IntegerProfile:
@@ -156,14 +246,13 @@ def convolve_mult(f: IntegerProfile, g: IntegerProfile) -> IntegerProfile:
     _check_same_field(f, g)
     p = f.p
     out = np.zeros(p, dtype=object)
-    gv = np.asarray(g.values, dtype=object)
+    gv = g.values.astype(object)
     idx = np.arange(p)
-    for y in range(1, p):
-        fy = f.values[y]
-        if fy:
+    for y, fy in enumerate(f.values.tolist()):
+        if y and fy:
             # out[z*y] += f(y) g(z)  <=>  out[x] += f(y) g(x y^{-1})
             np.add.at(out, idx * y % p, fy * gv)
-    return IntegerProfile(f.field, tuple(int(v) for v in out))
+    return IntegerProfile(f.field, out)
 
 
 def convolve_add_iterated(f: IntegerProfile, k: int) -> IntegerProfile:
@@ -199,25 +288,12 @@ class SpectrumTable:
         return (m0 * m0,) + tuple(m * m for m in self.magnitudes[1:])
 
 
-def _complex_transform(values: Sequence[int], p: int) -> np.ndarray:
-    """hat f(xi) = sum_x f(x) e(-xi x / p) for all xi, double precision."""
-    vals = np.asarray(values, dtype=np.float64)
-    support = np.nonzero(vals)[0]
-    if support.size <= _DIRECT_DFT_MAX_SUPPORT:
-        roots = np.exp(-2j * np.pi * np.arange(p) / p)
-        xi = np.arange(p)
-        acc = np.zeros(p, dtype=np.complex128)
-        for a in support:
-            acc += vals[a] * roots[xi * int(a) % p]
-        return acc
-    return np.fft.fft(vals)
-
-
 def dft(a: ResidueSet) -> SpectrumTable:
     """Magnitude spectrum of the indicator of A."""
     p = a.p
-    hat = _complex_transform(a.indicator(), p)
-    mags = np.abs(hat)
+    indicator = np.zeros(p)
+    indicator[list(a.elements)] = 1.0
+    mags = np.abs(np.fft.fft(indicator))
     # enforce exact mirror symmetry |hat A(xi)| = |hat A(p - xi)|
     if p > 1:
         half = (p - 1) // 2
@@ -227,8 +303,8 @@ def dft(a: ResidueSet) -> SpectrumTable:
 
 
 def profile_dft(f: IntegerProfile) -> np.ndarray:
-    """Complex transform of an arbitrary integer profile."""
-    return _complex_transform(f.values, f.p)
+    """Complex transform hat f(xi) = sum_x f(x) e(-xi x / p), double precision."""
+    return np.fft.fft(f.values.astype(np.float64))
 
 
 def inverse_transform(hat: np.ndarray) -> np.ndarray:

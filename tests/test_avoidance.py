@@ -66,6 +66,34 @@ class TestCountSolutions:
         monkeypatch.setattr(av, "_PAIRWISE_WORK_LIMIT", 0)
         assert av.count_solutions(fld, eq, *sets).count == direct
 
+    @pytest.mark.parametrize(
+        "p, s1, s2",
+        [(101, 40, 25), (101, 41, 25), (10007, 100, 100), (10007, 101, 100)],
+    )
+    def test_pairwise_switch(self, rng, monkeypatch, p, s1, s2):
+        # |A1||A2| just below / above max(_PAIRWISE_WORK_LIMIT, p)
+        import fpcomb.avoidance as av
+
+        switch = max(av._PAIRWISE_WORK_LIMIT, p)
+        assert (s1 - 1) * s2 <= switch < (s1 + 1) * s2
+        below = s1 * s2 <= switch
+        convolutions = []
+        real = av.convolve_add
+        monkeypatch.setattr(
+            av, "convolve_add", lambda f, g: convolutions.append(1) or real(f, g)
+        )
+        fld = PrimeField(p)
+        eq = AffineEquation(3, 5, 7, 2)
+        sets = [
+            random_residue_set(rng, fld, s1),
+            random_residue_set(rng, fld, s2),
+            random_residue_set(rng, fld, 30),
+        ]
+        got = av.count_solutions(fld, eq, *sets)
+        assert type(got.count) is int
+        assert got.count == brute_count(fld, eq, *sets)
+        assert len(convolutions) == (0 if below else 1)
+
     def test_field_mismatch(self):
         fld = PrimeField(7)
         other = ResidueSet.of(11, [1])

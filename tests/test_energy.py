@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,27 @@ class TestSigma:
         a = random_residue_set(rng, fld, 6)
         full = ResidueSet.of(fld, range(p))
         assert restricted_energy(a, a, full) == additive_energy(a, a).value
+
+
+class TestExactIntResults:
+    @pytest.mark.parametrize("p", [31, 1009])  # schoolbook and FFT kernels
+    def test_python_ints_matching_counters(self, rng, p):
+        fld = PrimeField(p)
+        a = random_residue_set(rng, fld, 25)
+        b = random_residue_set(rng, fld, 20)
+        pset = random_residue_set(rng, fld, 9)
+        sums = Counter((x + y) % p for x in a for y in b)
+        diffs = Counter((y - x) % p for x in a for y in b)
+        triples = Counter((x + y + z) % p for x in a for y in a for z in a)
+        results = [
+            (additive_energy(a, b).value, sum(c * c for c in sums.values())),
+            (moment_T_k(a, 3), sum(c * c for c in triples.values())),
+            (sigma_k(a, 3), triples[0]),
+            (restricted_energy(a, b, pset), sum(diffs[x] ** 2 for x in pset)),
+            (restricted_energy(a, b, ResidueSet(fld, ())), 0),
+        ]
+        for got, want in results:
+            assert type(got) is int and got == want
 
 
 class TestEnergyStar:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fpcomb.harmonic as harmonic
 from fpcomb import (
     FieldMismatch,
     IntegerProfile,
@@ -38,12 +39,52 @@ class TestIntegerProfile:
     def test_from_set_delta_support(self):
         a = ResidueSet.of(5, [1, 3])
         prof = IntegerProfile.from_set(a)
-        assert prof.values == (0, 1, 0, 1, 0)
+        assert prof.values.tolist() == [0, 1, 0, 1, 0]
         assert prof.support().elements == (1, 3)
         assert prof.total() == 2
         d = IntegerProfile.delta(PrimeField(5), 7)
-        assert d.values == (0, 0, 1, 0, 0)
+        assert d.values.tolist() == [0, 0, 1, 0, 0]
         assert prof[6] == 1  # index reduced mod p
+
+    def test_array_backed_value_semantics(self):
+        fld = PrimeField(5)
+        prof = IntegerProfile(fld, [0, 1, 0, 1, 0])
+        assert prof.values.dtype == np.int64
+        assert not prof.values.flags.writeable
+        same = IntegerProfile.from_set(ResidueSet.of(5, [1, 3]))
+        assert prof == same and hash(prof) == hash(same)
+        assert prof != IntegerProfile.delta(fld, 1)
+        assert type(prof[1]) is int and type(prof.total()) is int
+        with pytest.raises(TypeError):
+            IntegerProfile(fld, [0.5, 0, 0, 0, 0])
+
+    def test_object_dtype_only_above_int64(self):
+        fld = PrimeField(5)
+        fits = IntegerProfile(fld, [2**63 - 1, 0, 0, 0, 0])
+        assert fits.values.dtype == np.int64
+        wide = IntegerProfile(fld, [2**63, 0, 0, 0, 0])
+        assert wide.values.dtype == object
+        assert wide[0] == 2**63 and wide.total() == 2**63
+
+
+class TestPowerSum:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_either_side_of_int64(self, k):
+        # the largest v with v**k * 2 < 2**63, then one more
+        top = int((2**62) ** (1 / k))
+        while (top + 1) ** k * 2 < 2**63:
+            top += 1
+        while top**k * 2 >= 2**63:
+            top -= 1
+        for v in (top, top + 1):
+            vals = np.array([v, v], dtype=np.int64)
+            got = harmonic._power_sum(vals, k)
+            assert type(got) is int and got == 2 * v**k
+
+    def test_empty_and_object(self):
+        assert harmonic._power_sum(np.zeros(0, dtype=np.int64), 2) == 0
+        vals = np.array([10**30, 1], dtype=object)
+        assert harmonic._power_sum(vals, 2) == 10**60 + 1
 
 
 class TestConvolveAdd:
@@ -69,11 +110,28 @@ class TestConvolveAdd:
         got = convolve_add(IntegerProfile(fld, tuple(f)), IntegerProfile(fld, tuple(g)))
         assert got[4] == 10**60 and got[5] == 10**60
 
+    # 293 / 307 straddle _SCHOOLBOOK_MAX_P; 509 / 521 straddle its old value
+    @pytest.mark.parametrize("p", [293, 307, 509, 521])
+    def test_schoolbook_switch(self, rng, monkeypatch, p):
+        assert 293 <= harmonic._SCHOOLBOOK_MAX_P < 307
+        calls = []
+        real = harmonic._fft_cyclic
+        monkeypatch.setattr(
+            harmonic, "_fft_cyclic", lambda *a: calls.append(a[2]) or real(*a)
+        )
+        fld = PrimeField(p)
+        for hi in (1, 10_000):
+            f = [rng.randint(0, hi) for _ in range(p)]
+            g = [rng.randint(0, hi) for _ in range(p)]
+            got = convolve_add(IntegerProfile(fld, f), IntegerProfile(fld, g))
+            assert got.values.tolist() == naive_convolve(f, g, p)
+        assert calls == ([] if p <= harmonic._SCHOOLBOOK_MAX_P else [p, p])
+
     def test_zero_profile(self):
         fld = PrimeField(7)
         z = IntegerProfile(fld, (0,) * 7)
         f = IntegerProfile.delta(fld, 3)
-        assert convolve_add(z, f).values == (0,) * 7
+        assert convolve_add(z, f).values.tolist() == [0] * 7
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatch):
@@ -87,6 +145,124 @@ class TestConvolveAdd:
         f = IntegerProfile(fld, tuple(rng.randint(0, 9) for _ in range(101)))
         g = IntegerProfile(fld, tuple(rng.randint(0, 9) for _ in range(101)))
         assert convolve_add(f, g).total() == f.total() * g.total()
+
+
+def _kronecker_spy(monkeypatch):
+    calls = []
+    real = harmonic._kronecker_cyclic
+    monkeypatch.setattr(
+        harmonic, "_kronecker_cyclic", lambda *a: calls.append(a[3]) or real(*a)
+    )
+    return calls
+
+
+def _bound(f, g):
+    return min(max(f) * sum(g), max(g) * sum(f))
+
+
+class TestFftPath:
+    P = 521
+
+    def _sparse(self, rng):
+        # sparse inputs leave zeros in the linear convolution
+        p = self.P
+        f = [0] * p
+        g = [0] * p
+        for i in rng.sample(range(p), 12):
+            f[i] = rng.randint(1, 5)
+        for i in rng.sample(range(p), 12):
+            g[i] = rng.randint(1, 5)
+        return f, g
+
+    def test_exact_without_fallback(self, rng, monkeypatch):
+        calls = _kronecker_spy(monkeypatch)
+        for hi in (1, 1000):
+            f = [rng.randint(0, hi) for _ in range(self.P)]
+            g = [rng.randint(0, hi) for _ in range(self.P)]
+            fld = PrimeField(self.P)
+            got = convolve_add(IntegerProfile(fld, f), IntegerProfile(fld, g))
+            assert got.values.tolist() == naive_convolve(f, g, self.P)
+        assert calls == []
+
+    @pytest.mark.parametrize("fault", ["residual", "total", "negative"])
+    def test_failed_check_falls_back_to_kronecker(self, rng, monkeypatch, fault):
+        p = self.P
+        f, g = self._sparse(rng)
+        want = naive_convolve(f, g, p)
+        lin = np.convolve(f, g)
+        zero = int(np.flatnonzero(lin == 0)[0])
+        top = int(np.argmax(lin))
+        real_irfft = np.fft.irfft
+
+        def faulty_irfft(spec, n):
+            raw = real_irfft(spec, n)
+            if fault == "residual":
+                raw[top] += 0.4
+            elif fault == "total":
+                raw[zero] += 1.0
+            else:  # total kept, one value rounds to -1
+                raw[zero] -= 1.0
+                raw[top] += 1.0
+            return raw
+
+        monkeypatch.setattr(np.fft, "irfft", faulty_irfft)
+        fa = np.array(f, dtype=np.int64)
+        ga = np.array(g, dtype=np.int64)
+        total = sum(f) * sum(g)
+        assert harmonic._fft_cyclic(fa, ga, p, _bound(f, g), total) is None
+        calls = _kronecker_spy(monkeypatch)
+        fld = PrimeField(p)
+        got = convolve_add(IntegerProfile(fld, f), IntegerProfile(fld, g))
+        assert got.values.tolist() == want
+        assert len(calls) == 1
+
+    def test_above_a_priori_bound_skips_fft(self, rng, monkeypatch):
+        p = self.P
+        f = [rng.randint(0, 10**6) for _ in range(p)]
+        g = [rng.randint(0, 10**6) for _ in range(p)]
+        norms = np.linalg.norm(f) * np.linalg.norm(g)
+        k = (2 * p - 2).bit_length()
+        assert harmonic._fft_error_bound(norms, k) >= 0.25
+        assert 2 * p * _bound(f, g) < 2**63  # only the error bound rules FFT out
+
+        def no_rfft(*args, **kwargs):
+            raise AssertionError("FFT path taken above the a-priori bound")
+
+        monkeypatch.setattr(np.fft, "rfft", no_rfft)
+        calls = _kronecker_spy(monkeypatch)
+        fld = PrimeField(p)
+        got = convolve_add(IntegerProfile(fld, f), IntegerProfile(fld, g))
+        assert got.values.tolist() == naive_convolve(f, g, p)
+        assert len(calls) == 1
+
+
+class TestKronecker:
+    @pytest.mark.parametrize(
+        "hi, slot", [(1, 2), (1000, 4), (10**6, 8), (10**12, 11)]
+    )
+    def test_slot_widths(self, rng, hi, slot):
+        p = 521
+        f = [rng.randint(0, hi) for _ in range(p)]
+        g = [rng.randint(0, hi) for _ in range(p)]
+        bound = _bound(f, g)
+        nbytes = (bound.bit_length() + 7) // 8
+        assert next((w for w in (2, 4, 8) if nbytes <= w), nbytes) == slot
+        got = harmonic._kronecker_cyclic(
+            harmonic._exact_array(f), harmonic._exact_array(g), p, bound
+        )
+        assert got.tolist() == naive_convolve(f, g, p)
+
+    @pytest.mark.parametrize("v, dtype", [(2**63 - 1, np.int64), (2**63, object)])
+    def test_int64_edge(self, v, dtype):
+        # bound = v: the output is int64 exactly when it fits
+        p = 521
+        fld = PrimeField(p)
+        f = [0] * p
+        f[1] = v
+        g = [1, 1] + [0] * (p - 2)
+        got = convolve_add(IntegerProfile(fld, f), IntegerProfile(fld, g))
+        assert got.values.dtype == dtype
+        assert got[1] == v and got[2] == v and got.total() == 2 * v
 
 
 class TestCorrelateAdd:
@@ -131,7 +307,7 @@ class TestConvolveMult:
         fld = PrimeField(7)
         f = IntegerProfile.delta(fld, 0)
         g = IntegerProfile.delta(fld, 3)
-        assert convolve_mult(f, g).values == (0,) * 7
+        assert convolve_mult(f, g).values.tolist() == [0] * 7
 
 
 class TestIterated:
