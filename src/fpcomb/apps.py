@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-import random
-
 import numpy as np
 
-from .avoidance import SearchResult, count_solutions
+from .avoidance import SearchResult, _search, count_solutions
 from .energy import additive_energy
 from .errors import BadOrder, BudgetExceeded, TooSmall, ZeroInX
 from .families import AffineEquation
@@ -25,7 +23,6 @@ from .field import PrimeField, ResidueSet, dilate
 from .harmonic import IntegerProfile, _power_sum, convolve_add
 
 _BRUTE_COLLINEAR_MAX = 8
-_EXHAUSTIVE_NONAVG_MAX_P = 31
 
 
 def q_lambda(a: ResidueSet) -> dict[int, int]:
@@ -181,68 +178,19 @@ def max_nonaveraging(
     budget: int = 50,
     seed: int = 0,
 ) -> SearchResult:
-    """Largest non-averaging set of order t (exhaustive) or a witness."""
+    """Largest non-averaging set of order t (exhaustive) or a witness.
+
+    A non-averaging set is an avoiding set for the averaging equations with
+    the solutions x = y = z allowed, so the avoiding-set search finds it.
+    """
     if t < 1 or 2 * t >= fld.p:
         raise BadOrder(f"need 1 <= t with 2t < p; got t={t}, p={fld.p}")
-    p = fld.p
     eqs = [
         _averaging_equation(fld, m, n)
         for m in range(1, t + 1)
         for n in range(1, t + 1)
     ]
-
-    def extends_ok(members: list[int], r: int) -> bool:
-        pool = members + [r]
-        pool_set = set(pool)
-        for eq in eqs:
-            cinv = fld.inverse(eq.c)
-            ainv = fld.inverse(eq.a)
-            for u in pool:
-                for x, y in ((r, u), (u, r)):
-                    z = -(eq.a * x + eq.b * y) * cinv % p
-                    if z in pool_set and not (x == y == z):
-                        return False
-                x = -(eq.b * u + eq.c * r) * ainv % p
-                if x in pool_set and not (x == u == r):
-                    return False
-        return True
-
-    if mode == "exhaustive":
-        if p > _EXHAUSTIVE_NONAVG_MAX_P:
-            raise BudgetExceeded(
-                f"exhaustive mode supports p <= {_EXHAUSTIVE_NONAVG_MAX_P}"
-            )
-        best: list[int] = []
-
-        def extend(chosen: list[int], start: int) -> None:
-            nonlocal best
-            if len(chosen) > len(best):
-                best = list(chosen)
-            if len(chosen) + (p - start) <= len(best):
-                return
-            for r in range(start, p):
-                if extends_ok(chosen, r):
-                    chosen.append(r)
-                    extend(chosen, r + 1)
-                    chosen.pop()
-
-        extend([], 0)
-        return SearchResult(len(best), ResidueSet(fld, tuple(best)))
-
-    rng = random.Random(seed)
-    best_found: list[int] = []
-    rounds = 1 if mode == "greedy" else max(1, budget)
-    for trial in range(rounds):
-        candidates = list(range(p))
-        if mode == "randomized" and trial > 0:
-            rng.shuffle(candidates)
-        chosen: list[int] = []
-        for r in candidates:
-            if extends_ok(chosen, r):
-                chosen.append(r)
-        if len(chosen) > len(best_found):
-            best_found = sorted(chosen)
-    return SearchResult(len(best_found), ResidueSet(fld, tuple(best_found)))
+    return _search(fld, eqs, True, mode, budget, seed)
 
 
 def naive_max_nonaveraging(fld: PrimeField, t: int) -> int:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -164,52 +164,102 @@ def construct_parity_set(fld: PrimeField, q: int) -> ParityConstruction:
     )
 
 
-def _has_violation_with(
-    fld: PrimeField,
-    family: EquationFamily,
-    members: list[int],
-    newcomer: int,
-) -> bool:
-    """Does adding `newcomer` create a solution of some equation?
+def _constraint_order(p: int, equations: Sequence[AffineEquation]) -> list[int]:
+    """Residues ordered by ascending count of diagonal solutions.
 
-    Only triples involving the newcomer need checking.
+    A residue r scores one for each equation that x = y = z = r solves;
+    no other solution is counted.  Higher scores are tried last, ties
+    broken by value for determinism.
     """
-    p = fld.p
-    pool = members + [newcomer]
-    pool_set = set(pool)
-    for eq in family.equations:
-        ainv = fld.inverse(eq.a)
-        binv = fld.inverse(eq.b)
-        cinv = fld.inverse(eq.c)
-        r = newcomer
-        for u in pool:
-            # r fixed as x
-            if (eq.d - eq.a * r - eq.b * u) * cinv % p in pool_set:
-                return True
-            # r fixed as y
-            if (eq.d - eq.a * u - eq.b * r) * cinv % p in pool_set:
-                return True
-            # r fixed as z
-            if (eq.d - eq.c * r - eq.b * u) * ainv % p in pool_set:
-                return True
-            if (eq.d - eq.c * r - eq.a * u) * binv % p in pool_set:
-                return True
-    return False
-
-
-def _constraint_order(fld: PrimeField, family: EquationFamily) -> list[int]:
-    """Residues ordered by ascending participation in degenerate solutions.
-
-    A residue r that solves x = y = z already, or that pairs with many
-    residues, is considered last; ties broken by value for determinism.
-    """
-    p = fld.p
     score = [0] * p
-    for eq in family.equations:
+    for eq in equations:
         for r in range(p):
             if (eq.a + eq.b + eq.c) * r % p == eq.d % p:
-                score[r] += 1  # diagonal solution: immediately blocked
+                score[r] += 1
     return sorted(range(p), key=lambda r: (score[r], r))
+
+
+def _search(
+    fld: PrimeField,
+    equations: Sequence[AffineEquation],
+    allow_diagonal: bool,
+    mode: Literal["exhaustive", "greedy", "randomized"],
+    budget: int,
+    seed: int,
+) -> SearchResult:
+    """Largest set with no solution of any equation (exhaustive branch and
+    bound) or a valid witness (greedy, randomized restarts).
+
+    With allow_diagonal, the solutions x = y = z are allowed.  The chosen
+    set is an int bitmask, and a newcomer r is tested with its bit set.  A
+    solution that uses r either is (r, r, w), probed on its own, or has a
+    member u in its x or y slot; pairing r, as x, y or z, with u as y, x or
+    y leaves one coordinate to solve for and probe.
+    """
+    p = fld.p
+    if mode == "exhaustive" and p > _EXHAUSTIVE_MAX_P:
+        raise BudgetExceeded(f"exhaustive mode supports p <= {_EXHAUSTIVE_MAX_P}")
+    order = _constraint_order(p, equations)
+    # per equation and role of r, (d', k_r, k_u): the solved coordinate is
+    # (d' - k_r r - k_u u) % p
+    roles = []
+    for eq in equations:
+        ainv, cinv = fld.inverse(eq.a), fld.inverse(eq.c)
+        roles.append((
+            (eq.d * cinv % p, eq.a * cinv % p, eq.b * cinv % p),  # r=x, u=y: z
+            (eq.d * cinv % p, eq.b * cinv % p, eq.a * cinv % p),  # r=y, u=x: z
+            (eq.d * ainv % p, eq.c * ainv % p, eq.b * ainv % p),  # r=z, u=y: x
+        ))
+
+    def blocked(members: list[int], mask: int, r: int) -> bool:
+        for (d1, r1, u1), (d2, r2, u2), (d3, r3, u3) in roles:
+            b1, b2, b3 = d1 - r1 * r, d2 - r2 * r, d3 - r3 * r
+            w = (b1 - u1 * r) % p
+            if mask >> w & 1 and not (allow_diagonal and w == r):
+                return True
+            for u in members:
+                if (
+                    mask >> (b1 - u1 * u) % p & 1
+                    or mask >> (b2 - u2 * u) % p & 1
+                    or mask >> (b3 - u3 * u) % p & 1
+                ):
+                    return True
+        return False
+
+    best: list[int] = []
+    if mode == "exhaustive":
+
+        def extend(chosen: list[int], mask: int, pos: int) -> None:
+            nonlocal best
+            if len(chosen) > len(best):
+                best = list(chosen)
+            if len(chosen) + (p - pos) <= len(best):
+                return
+            for i in range(pos, p):
+                r = order[i]
+                grown = mask | 1 << r
+                if not blocked(chosen, grown, r):
+                    chosen.append(r)
+                    extend(chosen, grown, i + 1)
+                    chosen.pop()
+
+        extend([], 0, 0)
+    else:
+        rng = random.Random(seed)
+        for trial in range(1 if mode == "greedy" else max(1, budget)):
+            candidates = list(order)
+            if mode == "randomized" and trial > 0:
+                rng.shuffle(candidates)
+            chosen: list[int] = []
+            mask = 0
+            for r in candidates:
+                grown = mask | 1 << r
+                if not blocked(chosen, grown, r):
+                    chosen.append(r)
+                    mask = grown
+            if len(chosen) > len(best):
+                best = chosen
+    return SearchResult(len(best), ResidueSet(fld, tuple(best)))
 
 
 def max_avoiding(
@@ -224,44 +274,7 @@ def max_avoiding(
         raise EmptyFamily("cannot search against an empty family")
     if family.p != fld.p:
         raise FieldMismatch(f"family over p={family.p}, field p={fld.p}")
-    p = fld.p
-    order = _constraint_order(fld, family)
-
-    if mode == "exhaustive":
-        if p > _EXHAUSTIVE_MAX_P:
-            raise BudgetExceeded(f"exhaustive mode supports p <= {_EXHAUSTIVE_MAX_P}")
-        best: list[int] = []
-
-        def extend(chosen: list[int], pos: int) -> None:
-            nonlocal best
-            if len(chosen) > len(best):
-                best = list(chosen)
-            if len(chosen) + (len(order) - pos) <= len(best):
-                return
-            for i in range(pos, len(order)):
-                r = order[i]
-                if not _has_violation_with(fld, family, chosen, r):
-                    chosen.append(r)
-                    extend(chosen, i + 1)
-                    chosen.pop()
-
-        extend([], 0)
-        return SearchResult(len(best), ResidueSet(fld, tuple(best)))
-
-    rng = random.Random(seed)
-    best_greedy: list[int] = []
-    rounds = 1 if mode == "greedy" else max(1, budget)
-    for trial in range(rounds):
-        candidates = list(order)
-        if mode == "randomized" and trial > 0:
-            rng.shuffle(candidates)
-        chosen: list[int] = []
-        for r in candidates:
-            if not _has_violation_with(fld, family, chosen, r):
-                chosen.append(r)
-        if len(chosen) > len(best_greedy):
-            best_greedy = sorted(chosen)
-    return SearchResult(len(best_greedy), ResidueSet(fld, tuple(best_greedy)))
+    return _search(fld, family.equations, False, mode, budget, seed)
 
 
 def naive_max_avoiding(fld: PrimeField, family: EquationFamily) -> int:

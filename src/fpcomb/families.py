@@ -28,7 +28,7 @@ from .errors import (
     ProportionalEquations,
     ZeroCoefficient,
 )
-from .field import PrimeField, ResidueSet, multiplicative_subgroup
+from .field import PrimeField, multiplicative_subgroup
 
 Plane = Literal["x", "y", "z"]
 PLANES: tuple[Plane, ...] = ("x", "y", "z")
@@ -216,6 +216,19 @@ def t_invariant(family: EquationFamily) -> InvariantResult:
     return best
 
 
+def _fullest_column_and_row(
+    coords: Sequence[tuple[int, int]],
+) -> tuple[list[int], list[int]]:
+    """Indices sharing the most common first coordinate (a column) and the
+    most common second coordinate (a row); the first maximum wins ties."""
+    columns: dict[int, list[int]] = {}
+    rows: dict[int, list[int]] = {}
+    for i, (a, b) in enumerate(coords):
+        columns.setdefault(a, []).append(i)
+        rows.setdefault(b, []).append(i)
+    return max(columns.values(), key=len), max(rows.values(), key=len)
+
+
 def greedy_t_witness(family: EquationFamily) -> WitnessSubset:
     """A T-type witness of size >= ceil(sqrt(|E|)).
 
@@ -235,14 +248,7 @@ def greedy_t_witness(family: EquationFamily) -> WitnessSubset:
             used_a.add(a)
             used_b.add(b)
 
-    columns: dict[int, list[int]] = {}
-    rows: dict[int, list[int]] = {}
-    for i, (a, b) in enumerate(coords):
-        columns.setdefault(a, []).append(i)
-        rows.setdefault(b, []).append(i)
-    best_col = max(columns.values(), key=len)
-    best_row = max(rows.values(), key=len)
-
+    best_col, best_row = _fullest_column_and_row(coords)
     candidates = [
         WitnessSubset("z", tuple(maximal), "T"),
         WitnessSubset("y", tuple(sorted(best_col)), "T"),
@@ -260,15 +266,8 @@ def greedy_t_witness(family: EquationFamily) -> WitnessSubset:
 
 def _greedy_tstar(family: EquationFamily, plane: Plane) -> list[int]:
     """Best column plus best row in one plane (the constructive witness)."""
-    n = len(family)
-    coords = [family.plane_coordinates(i, plane) for i in range(n)]
-    columns: dict[int, list[int]] = {}
-    rows: dict[int, list[int]] = {}
-    for i, (a, b) in enumerate(coords):
-        columns.setdefault(a, []).append(i)
-        rows.setdefault(b, []).append(i)
-    best_col = max(columns.values(), key=len)
-    best_row = max(rows.values(), key=len)
+    coords = [family.plane_coordinates(i, plane) for i in range(len(family))]
+    best_col, best_row = _fullest_column_and_row(coords)
     return sorted(set(best_col) | set(best_row))
 
 
@@ -452,15 +451,6 @@ def parity_family_equations(fld: PrimeField, q: int) -> list[AffineEquation]:
     return [
         AffineEquation((-i) % p, (-j) % p, 1, 0) for i in evens for j in evens
     ]
-
-
-def gamma_set(family: EquationFamily) -> ResidueSet:
-    """Set of all residues appearing as canonical coordinates (diagnostic)."""
-    vals = set()
-    for pt in family.points:
-        vals.add(pt.a)
-        vals.add(pt.b)
-    return ResidueSet(family.field, tuple(vals))
 
 
 # -- family file format: header "p=<prime>", then "a b c d" per line -------

@@ -158,11 +158,6 @@ class ResidueSet:
         )
 
 
-def mod_inverse(fld: PrimeField, x: int) -> int:
-    """y with x * y = 1 (mod p); raises ZeroInverse for x = 0."""
-    return fld.inverse(x)
-
-
 def dilate(a: ResidueSet, s: int) -> ResidueSet:
     """The dilate s*A = {s a mod p : a in A}; s must be nonzero."""
     s %= a.p

@@ -288,7 +288,7 @@ def _family_from_params(config: ExperimentConfig, fld: PrimeField):
         return fam
     kind = params.get("family_kind", "subgroup")
     if kind == "subgroup":
-        order = int(params.get("order", 3))
+        order = int(params.get("order", 2))
         if (fld.p - 1) % order != 0:
             raise ConfigError(f"order {order} does not divide p-1 for p={fld.p}")
         return families.build_family(fld, "subgroup", order=order)

@@ -168,6 +168,12 @@ class TestMixed:
 
 
 class TestExperiment:
+    def test_runs_with_no_arguments(self, capsys):
+        code, out, _ = run_cli(capsys, "experiment")
+        assert code == EXIT_OK
+        summary = json.loads(out)["summary"]
+        assert summary["checks_passed"] == summary["checks_run"] > 0
+
     def test_runs_with_flags(self, capsys, tmp_path):
         out_path = tmp_path / "exp.json"
         code, _, _ = run_cli(
