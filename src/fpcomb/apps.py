@@ -3,8 +3,10 @@
 The collinear-triple count is pinned to the geometric definition: ordered
 triples of points of the grid A x A lying on a common affine line, where
 triples with repeated points are collinear and an all-equal triple counts
-once.  The fast line-sweep formula carries the exact correction term for
-that convention and the brute enumerator is the ground truth.
+once.  The fast count derives it from the direction profile q(lambda) as
+T(A) = sum_lambda q(lambda)^2 + 3|A|^4 - 2|A|^3, and q(lambda) comes from
+discrete-log autocorrelations on the exact convolution kernel; the brute
+enumerator is the ground truth.
 """
 
 from __future__ import annotations
@@ -19,31 +21,42 @@ from .avoidance import SearchResult, _search, count_solutions
 from .energy import additive_energy
 from .errors import BadOrder, BudgetExceeded, TooSmall, ZeroInX
 from .families import AffineEquation
-from .field import PrimeField, ResidueSet, dilate
-from .harmonic import IntegerProfile, _power_sum, convolve_add
+from .field import PrimeField, ResidueSet, _log_tables, dilate
+from .harmonic import IntegerProfile, _cyclic_convolve_rows
 
 _BRUTE_COLLINEAR_MAX = 8
+# q_lambda transforms at most about this many row entries at once: batches
+# of 2**12..2**18 entries were fastest near 2**13 at p = 151..1009, with a
+# peak of about 1 MiB of arrays.
+_ROW_BATCH_ELEMS = 1 << 13
 
 
 def q_lambda(a: ResidueSet) -> dict[int, int]:
     """q(lambda) = #{(a1, a2, a0) in A^3 : (a1-a0)/(a2-a0) = lambda, a2 != a0}.
 
-    Exact O(|A|^3) double loop; q(0) = q(1) = |A|(|A|-1).
+    q(0) = q(1) = |A|(|A|-1).  For the primitive root g, the triples with
+    a2 - a0 = g^k and a1 - a0 = g^(k+j) give q(g^j) = sum over a0 in A of
+    the cyclic autocorrelation at lag j of h(k) = 1_A(a0 + g^k), k mod
+    p - 1, that is the convolution of h(-k) with h: the exact kernel runs
+    over batches of rows, one row per a0.
     """
-    if len(a) < 2:
+    n = len(a)
+    if n < 2:
         raise TooSmall("q_lambda needs |A| >= 2")
     p = a.p
-    counts = [0] * p
-    elems = a.elements
-    inv_cache = {x: a.field.inverse(x) for x in range(1, p)}
-    for a0 in elems:
-        for a2 in elems:
-            if a2 == a0:
-                continue
-            denom_inv = inv_cache[(a2 - a0) % p]
-            for a1 in elems:
-                counts[(a1 - a0) * denom_inv % p] += 1
-    return {lam: c for lam, c in enumerate(counts) if c > 0}
+    _, antilog = _log_tables(p)
+    ind = IntegerProfile.from_set(a).values
+    acc = np.zeros(p - 1, dtype=np.int64)
+    elems = np.array(a.elements, dtype=np.int64)[:, None]
+    step = max(1, _ROW_BATCH_ELEMS // p)
+    for start in range(0, n, step):
+        h = ind[(antilog + elems[start : start + step]) % p]
+        h_neg = np.roll(h[:, ::-1], 1, axis=1)
+        acc += _cyclic_convolve_rows(h_neg, h, p - 1).sum(axis=0)
+    counts = np.zeros(p, dtype=np.int64)
+    counts[antilog] = acc
+    counts[0] = n * (n - 1)
+    return {lam: c for lam, c in enumerate(counts.tolist()) if c > 0}
 
 
 def ratio_set(a: ResidueSet) -> ResidueSet:
@@ -77,36 +90,31 @@ def _collinear_brute(a: ResidueSet) -> int:
     return total
 
 
-def _collinear_fast(a: ResidueSet) -> int:
-    """sum over the p^2 + p affine lines of n_l^3, minus the overcount of
-    all-equal triples (each grid point lies on p + 1 lines)."""
-    p = a.p
-    n = len(a)
-    ind = IntegerProfile.from_set(a)
-    # horizontal lines y = b and vertical lines x = c: |A|^3 for each b, c in A
-    total = 2 * n**4
-    # slanted lines y = m x + b, m != 0: n_{m,b} = (A_{-m} * A)(b)
-    for m in range(1, p):
-        dil = np.zeros(p, dtype=np.int64)
-        dil[[(p - m) * e % p for e in a.elements]] = 1
-        conv = convolve_add(IntegerProfile(a.field, dil), ind)
-        total += _power_sum(conv.values, 3)
-    return total - p * n * n
+def _q_profile(a: ResidueSet) -> dict[int, int]:
+    """q_lambda(a), or {} when |A| < 2."""
+    return q_lambda(a) if len(a) >= 2 else {}
+
+
+def _triples_from_q(n: int, q: dict[int, int]) -> int:
+    """T(A) = sum_lambda q(lambda)^2 + 3|A|^4 - 2|A|^3 for |A| = n.
+
+    For points P = (a0, b0), Q = (a2, b2), R = (a1, b1) with a2 != a0 and
+    b2 != b0, R is on the line PQ iff (a1-a0)/(a2-a0) = (b1-b0)/(b2-b0),
+    so sum q^2 counts those triples.  The rest have Q = P (n^4 triples) or
+    Q on the vertical or horizontal line through P, and then R on it too
+    (n^3 (n-1) each).  With q = {} it also holds for n < 2.
+    """
+    return sum(c * c for c in q.values()) + 3 * n**4 - 2 * n**3
 
 
 def collinear_triples(
     a: ResidueSet, mode: Literal["brute", "fast"] = "fast"
 ) -> CollinearStats:
     """T(A): ordered point triples of A x A on a common affine line."""
-    if mode == "brute":
-        if len(a) > _BRUTE_COLLINEAR_MAX:
-            raise BudgetExceeded(
-                f"brute mode supports |A| <= {_BRUTE_COLLINEAR_MAX}"
-            )
-        total = _collinear_brute(a)
-    else:
-        total = _collinear_fast(a)
-    qp = q_lambda(a) if len(a) >= 2 else {}
+    if mode == "brute" and len(a) > _BRUTE_COLLINEAR_MAX:
+        raise BudgetExceeded(f"brute mode supports |A| <= {_BRUTE_COLLINEAR_MAX}")
+    qp = _q_profile(a)
+    total = _collinear_brute(a) if mode == "brute" else _triples_from_q(len(a), qp)
     return CollinearStats(
         total=total,
         expected=Fraction(len(a) ** 6, a.p),
@@ -126,7 +134,12 @@ class DeviationReport:
 
 def collinear_deviation(a: ResidueSet) -> DeviationReport:
     """|T(A) - |A|^6/p| against |A|^(40/9) p^(2/9); trend report only."""
-    total = _collinear_fast(a)
+    return _deviation_report(a, _q_profile(a))
+
+
+def _deviation_report(a: ResidueSet, q: dict[int, int]) -> DeviationReport:
+    """collinear_deviation(a) from its precomputed q profile."""
+    total = _triples_from_q(len(a), q)
     expected = Fraction(len(a) ** 6, a.p)
     deviation = abs(Fraction(total) - expected)
     reference = len(a) ** (40 / 9) * a.p ** (2 / 9) if len(a) else 1.0

@@ -21,6 +21,7 @@ from .field import PrimeField, ResidueSet
 from .harmonic import IntegerProfile, _power_sum, convolve_add
 
 _EXHAUSTIVE_MAX_P = 31
+_SEARCH_MODES = ("exhaustive", "greedy", "randomized")
 
 # count_solutions convolves once when |A1||A2| > max(_PAIRWISE_WORK_LIMIT, p).
 # Measured: pairwise costs about 0.25 us per pair; one convolution costs
@@ -196,6 +197,10 @@ def _search(
     member u in its x or y slot; pairing r, as x, y or z, with u as y, x or
     y leaves one coordinate to solve for and probe.
     """
+    if mode not in _SEARCH_MODES:
+        raise BadParameter(
+            f"unknown search mode {mode!r}; expected one of {', '.join(_SEARCH_MODES)}"
+        )
     p = fld.p
     if mode == "exhaustive" and p > _EXHAUSTIVE_MAX_P:
         raise BudgetExceeded(f"exhaustive mode supports p <= {_EXHAUSTIVE_MAX_P}")

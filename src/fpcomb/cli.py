@@ -87,7 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("collinear", help="collinear triple statistics")
     _common_options(s)
     s.add_argument("--set", dest="set_a", required=True)
-    s.add_argument("--mode", choices=("brute", "fast"), default="fast")
+    s.add_argument(
+        "--mode",
+        choices=("brute", "fast"),
+        default="fast",
+        help="fast: T from the direction profile q(lambda) on the exact kernel;"
+        " brute: enumerate all point triples (|A| <= 8)",
+    )
 
     s = sub.add_parser("nonavg", help="non-averaging sets")
     _common_options(s)
@@ -171,9 +177,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     fld = _field(args)
     a = ResidueSet(fld, tuple(_parse_residues(args.set_a)))
     params = spectral.SpectrumParams(a, args.epsilon)
-    spec = spectral.spectrum(params)
-    size_check = spectral.spectrum_size_bound_check(params)
     table = dft(a)
+    spec = spectral.spectrum(params, table)
+    size_check = spectral.spectrum_size_bound_check(params, table)
     payload = {
         "p": fld.p,
         "A": list(a.elements),

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import InvalidOrder, ZeroDilation, ZeroInverse
 
 # Witness bases making Miller-Rabin deterministic for n < 3.3 * 10^24.
@@ -97,6 +99,26 @@ def _primitive_root(p: int) -> int:
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
     raise AssertionError(f"no primitive root found for {p}")  # unreachable
+
+
+@lru_cache(maxsize=8)
+def _log_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log, antilog) for the primitive root g of p, built on first use.
+
+    antilog[k] = g^k for 0 <= k < p - 1 and log[antilog[k]] = k; log[0] is
+    -1.  With them a multiplicative structure over F_p* becomes a cyclic
+    additive one of length p - 1 (Rader's trick).  Both are read-only.
+    """
+    g = _primitive_root(p)
+    powers = [1] * (p - 1)
+    for k in range(1, p - 1):
+        powers[k] = powers[k - 1] * g % p
+    antilog = np.array(powers, dtype=np.int64)
+    log = np.full(p, -1, dtype=np.int64)
+    log[antilog] = np.arange(p - 1)
+    log.flags.writeable = False
+    antilog.flags.writeable = False
+    return log, antilog
 
 
 @dataclass(frozen=True)

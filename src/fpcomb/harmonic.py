@@ -3,12 +3,15 @@
 Two parallel computational paths are kept deliberately separate:
 
 * counting quantities (convolutions, energies, solution counts) are
-  computed with exact integer arithmetic.  One kernel dispatches between
-  three paths: schoolbook for small p; a float FFT product rounded to
-  integers, taken only when Percival's a-priori error bound is below 1/4
-  and kept only when the rounded result passes its run-time checks; and
-  big-integer coefficient packing (Kronecker substitution) for huge
-  coefficients or whenever the FFT result cannot be certified;
+  computed with exact integer arithmetic.  One cyclic kernel, of any
+  length, dispatches between three paths: schoolbook for short lengths; a
+  float FFT product rounded to integers, taken only when Percival's
+  a-priori error bound is below 1/4 and kept only when the rounded result
+  passes its run-time checks; and big-integer coefficient packing
+  (Kronecker substitution) for huge coefficients or whenever the FFT
+  result cannot be certified.  Additive convolutions run it at length p;
+  multiplicative ones over F_p* run it at length p - 1 on discrete logs
+  (Rader's trick);
 * spectrum magnitudes are computed in double precision by an O(p log p)
   transform (numpy's pocketfft, which handles prime lengths via
   Bluestein's chirp).
@@ -24,10 +27,10 @@ from typing import Iterable
 import numpy as np
 
 from .errors import FieldMismatch
-from .field import PrimeField, ResidueSet
+from .field import PrimeField, ResidueSet, _log_tables
 
-# Up to this modulus np.convolve beats the FFT path (measured crossover
-# near p = 300 on 0/1 inputs).
+# Up to this length np.convolve beats the FFT path (measured crossover
+# near 300 on 0/1 inputs).
 _SCHOOLBOOK_MAX_P = 300
 
 _INT64_LIMIT = 1 << 63
@@ -118,10 +121,10 @@ def _check_same_field(f: IntegerProfile, g: IntegerProfile) -> None:
         raise FieldMismatch(f"p = {f.field.p} vs p = {g.field.p}")
 
 
-def _fold(lin: np.ndarray, p: int) -> np.ndarray:
-    """Wrap a length-(2p - 1) linear convolution onto Z/pZ."""
-    out = lin[:p].copy()
-    out[: p - 1] += lin[p:]
+def _fold(lin: np.ndarray, n: int) -> np.ndarray:
+    """Wrap length-(2n - 1) linear convolutions (last axis) onto Z/nZ."""
+    out = lin[..., :n].copy()
+    out[..., : n - 1] += lin[..., n:]
     return out
 
 
@@ -137,38 +140,48 @@ def _fft_error_bound(norm_product: float, k: int) -> float:
 
 
 def _fft_cyclic(
-    f: np.ndarray, g: np.ndarray, p: int, bound: int, total: int
+    f: np.ndarray,
+    g: np.ndarray,
+    n: int,
+    bound: int | np.ndarray,
+    total: int | np.ndarray,
 ) -> np.ndarray | None:
-    """Cyclic convolution by a rounded float FFT of length 2**k >= 2p - 1.
+    """Cyclic convolution by a rounded float FFT of length 2**k >= 2n - 1.
 
-    Returns None when the a-priori error bound is not below 1/4, or when
-    the rounded result fails a run-time check: every raw value within 1/4
-    of an integer, every rounded value in [0, bound], and the rounded
-    values summing to sum(f) * sum(g) exactly.
+    f and g are one length-n array each, or (m, n) stacks convolved row by
+    row in one batched transform, with `bound` and `total` given per row.
+    Returns None when the a-priori error bound of some row is not below
+    1/4, or when some rounded row fails a run-time check: every raw value
+    within 1/4 of an integer, every rounded value in [0, bound], and the
+    rounded values summing to sum(f) * sum(g) exactly.
     """
-    k = (2 * p - 2).bit_length()
-    n = 1 << k
+    k = (2 * n - 2).bit_length()
+    size = 1 << k
     ff = f.astype(np.float64)
     gg = ff if g is f else g.astype(np.float64)
     # einsum, not `@`: a BLAS dot may wake threads that compete with the FFT.
-    norm_product = math.sqrt(
-        float(np.einsum("i,i->", ff, ff)) * float(np.einsum("i,i->", gg, gg))
+    norm_product = np.sqrt(
+        np.einsum("...i,...i->...", ff, ff) * np.einsum("...i,...i->...", gg, gg)
     )
-    if not _fft_error_bound(norm_product, k) < 0.25:
+    if not (_fft_error_bound(norm_product, k) < 0.25).all():
         return None
-    spec = np.fft.rfft(ff, n)
-    spec *= spec if g is f else np.fft.rfft(gg, n)
-    raw = np.fft.irfft(spec, n)[: 2 * p - 1]
+    spec = np.fft.rfft(ff, size)
+    spec *= spec if g is f else np.fft.rfft(gg, size)
+    raw = np.fft.irfft(spec, size)[..., : 2 * n - 1]
     lin = np.rint(raw)
     raw -= lin
-    residual = np.abs(raw, out=raw).max()
-    if not (residual <= 0.25 and lin.min() >= 0 and lin.max() <= bound):
+    residual = np.abs(raw, out=raw).max(axis=-1)
+    if not (
+        (residual <= 0.25).all()
+        and lin.min() >= 0
+        and (lin.max(axis=-1) <= bound).all()
+    ):
         return None
-    out = _fold(lin.astype(np.int64), p)
-    return out if int(out.sum()) == total else None
+    out = _fold(lin.astype(np.int64), n)
+    return out if (out.sum(axis=-1) == total).all() else None
 
 
-def _kronecker_cyclic(f: np.ndarray, g: np.ndarray, p: int, bound: int) -> np.ndarray:
+def _kronecker_cyclic(f: np.ndarray, g: np.ndarray, n: int, bound: int) -> np.ndarray:
     """Cyclic convolution by one CPython big-integer multiply (Kronecker
     substitution): coefficients are packed into byte slots wide enough
     for `bound`, so the product's slots are the linear convolution."""
@@ -178,9 +191,9 @@ def _kronecker_cyclic(f: np.ndarray, g: np.ndarray, p: int, bound: int) -> np.nd
         dtype = f"<u{slot}"
         big_f = int.from_bytes(f.astype(dtype).tobytes(), "little")
         big_g = int.from_bytes(g.astype(dtype).tobytes(), "little")
-        raw = (big_f * big_g).to_bytes(2 * p * slot, "little")
-        lin = np.frombuffer(raw, dtype=dtype)[: 2 * p - 1].astype(np.uint64)
-        out = _fold(lin, p)  # every cyclic coefficient is <= bound < 2**64
+        raw = (big_f * big_g).to_bytes(2 * n * slot, "little")
+        lin = np.frombuffer(raw, dtype=dtype)[: 2 * n - 1].astype(np.uint64)
+        out = _fold(lin, n)  # every cyclic coefficient is <= bound < 2**64
         return out.astype(np.int64 if bound < _INT64_LIMIT else object)
 
     # Huge coefficients: pack and unpack slot by slot with Python integers.
@@ -188,19 +201,19 @@ def _kronecker_cyclic(f: np.ndarray, g: np.ndarray, p: int, bound: int) -> np.nd
         chunks = (v.to_bytes(slot, "little") for v in values.tolist())
         return int.from_bytes(b"".join(chunks), "little")
 
-    raw = (pack(f) * pack(g)).to_bytes(2 * p * slot, "little")
-    lin = np.empty(2 * p - 1, dtype=object)
+    raw = (pack(f) * pack(g)).to_bytes(2 * n * slot, "little")
+    lin = np.empty(2 * n - 1, dtype=object)
     lin[:] = [
         int.from_bytes(raw[i : i + slot], "little")
-        for i in range(0, (2 * p - 1) * slot, slot)
+        for i in range(0, (2 * n - 1) * slot, slot)
     ]
-    return _fold(lin, p)
+    return _fold(lin, n)
 
 
-def _cyclic_convolve_exact(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
-    """Exact cyclic convolution of two non-negative length-p arrays.
+def _cyclic_convolve_exact(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """Exact cyclic convolution of two non-negative length-n arrays.
 
-    Schoolbook for small p; otherwise the checked float FFT, falling back
+    Schoolbook for small n; otherwise the checked float FFT, falling back
     to Kronecker substitution for coefficients too large for it or when
     its result cannot be certified.  Returns int64 when every coefficient
     fits, else an object array of Python ints.
@@ -208,18 +221,40 @@ def _cyclic_convolve_exact(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
     sum_f = _power_sum(f, 1)
     sum_g = _power_sum(g, 1)
     if sum_f == 0 or sum_g == 0:
-        return np.zeros(p, dtype=np.int64)
+        return np.zeros(n, dtype=np.int64)
     # Every linear and every cyclic coefficient is at most this.
     bound = min(int(f.max()) * sum_g, int(g.max()) * sum_f)
-    if p <= _SCHOOLBOOK_MAX_P and bound < _INT64_LIMIT:
-        return _fold(np.convolve(f, g), p)
-    # 2p * bound < 2**63 keeps the checked int64 sum of 2p - 1 rounded
+    if n <= _SCHOOLBOOK_MAX_P and bound < _INT64_LIMIT:
+        return _fold(np.convolve(f, g), n)
+    # 2n * bound < 2**63 keeps the checked int64 sum of 2n - 1 rounded
     # values in [0, bound] from overflowing.
-    if 2 * p * bound < _INT64_LIMIT:
-        out = _fft_cyclic(f, g, p, bound, sum_f * sum_g)
+    if 2 * n * bound < _INT64_LIMIT:
+        out = _fft_cyclic(f, g, n, bound, sum_f * sum_g)
         if out is not None:
             return out
-    return _kronecker_cyclic(f, g, p, bound)
+    return _kronecker_cyclic(f, g, n, bound)
+
+
+def _cyclic_convolve_rows(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """Row i is _cyclic_convolve_exact(f[i], g[i], n), for (m, n) arrays
+    with m >= 1; memory is O(m n), so callers bound m.
+
+    One batched FFT serves every row when the values are small enough for
+    int64 row bounds and every row passes the a-priori bound and the
+    run-time checks; otherwise each row goes through the one-row kernel.
+    Unlike the one-row kernel, short rows take the FFT too: one batched
+    transform beats m schoolbook calls.
+    """
+    # Every coefficient is at most n * max(f) * max(g); with 2n times that
+    # below 2**63, row sums, bounds and the FFT path's checks fit in int64.
+    small = 2 * n * n * int(f.max()) * int(g.max()) < _INT64_LIMIT
+    if f.dtype != object and g.dtype != object and small:
+        sum_f, sum_g = f.sum(axis=1), g.sum(axis=1)
+        bound = np.minimum(f.max(axis=1) * sum_g, g.max(axis=1) * sum_f)
+        out = _fft_cyclic(f, g, n, bound, sum_f * sum_g)
+        if out is not None:
+            return out
+    return np.stack([_cyclic_convolve_exact(fr, gr, n) for fr, gr in zip(f, g)])
 
 
 def convolve_add(f: IntegerProfile, g: IntegerProfile) -> IntegerProfile:
@@ -241,17 +276,19 @@ def correlate_add(f: IntegerProfile, g: IntegerProfile) -> IntegerProfile:
 def convolve_mult(f: IntegerProfile, g: IntegerProfile) -> IntegerProfile:
     """(f (x) g)(x) = sum_{y != 0} f(y) g(x y^{-1}), exact.
 
-    Index 0 of f is ignored per the summation over F_p*.
+    Index 0 of f is ignored per the summation over F_p*.  With r the
+    primitive root, out(r^i) for i mod p - 1 is the cyclic convolution of
+    f(r^k) and g(r^k); x y^{-1} = 0 only for x = 0, so
+    out(0) = g(0) * sum_{y != 0} f(y).
     """
     _check_same_field(f, g)
-    p = f.p
-    out = np.zeros(p, dtype=object)
-    gv = g.values.astype(object)
-    idx = np.arange(p)
-    for y, fy in enumerate(f.values.tolist()):
-        if y and fy:
-            # out[z*y] += f(y) g(z)  <=>  out[x] += f(y) g(x y^{-1})
-            np.add.at(out, idx * y % p, fy * gv)
+    _, antilog = _log_tables(f.p)
+    conv = _cyclic_convolve_exact(f.values[antilog], g.values[antilog], f.p - 1)
+    at_zero = int(g.values[0]) * _power_sum(f.values[1:], 1)
+    wide = conv.dtype == object or at_zero >= _INT64_LIMIT
+    out = np.zeros(f.p, dtype=object if wide else np.int64)
+    out[antilog] = conv
+    out[0] = at_zero
     return IntegerProfile(f.field, out)
 
 

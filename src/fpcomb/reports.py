@@ -140,9 +140,9 @@ def run_verify(config: ExperimentConfig) -> ExperimentReport:
             # spectrum size bound and inequality for a random epsilon
             eps = float(rng.uniform(0.05, 1.0))
             params = spectral.SpectrumParams(a, eps)
-            sb = spectral.spectrum_size_bound_check(params)
+            sb = spectral.spectrum_size_bound_check(params, table)
             checks.append(_check(f"spec-size-p{p}", sb.lhs, sb.rhs, sb.ok))
-            spec = spectral.spectrum(params)
+            spec = spectral.spectrum(params, table)
             pick = min(len(spec), 4)
             sub = ResidueSet(
                 fld,
@@ -151,7 +151,7 @@ def run_verify(config: ExperimentConfig) -> ExperimentReport:
                     for x in rng.choice(spec.elements, size=pick, replace=False)
                 ),
             )
-            lc = spectral.les_inequality_check(params, sub, k=2)
+            lc = spectral.les_inequality_check(params, sub, k=2, table=table)
             checks.append(_check(f"spec-les-p{p}", lc.lhs, lc.rhs, lc.ok))
         # small brute-force energy oracle
         for _ in range(max(3, trials // 4)):
@@ -374,8 +374,8 @@ def _run_collinear(config: ExperimentConfig, rng: np.random.Generator):
     for p in config.primes:
         fld = PrimeField(p)
         a = _random_subset(rng, fld, max(2, int(round(density * p))))
-        rep = apps.collinear_deviation(a)
         profile = apps.q_lambda(a)
+        rep = apps._deviation_report(a, profile)
         n = len(a)
         total_q = sum(profile.values())
         rows.append(
@@ -467,10 +467,11 @@ def _run_spectrum_energy(config: ExperimentConfig, rng: np.random.Generator):
         fld = PrimeField(p)
         size = max(2, int(round(float(config.params.get("density", 0.2)) * p)))
         a = _random_subset(rng, fld, size)
+        table = dft(a)
         for eps in eps_list:
             params = spectral.SpectrumParams(a, eps)
-            spec = spectral.spectrum(params)
-            size_chk = spectral.spectrum_size_bound_check(params)
+            spec = spectral.spectrum(params, table)
+            size_chk = spectral.spectrum_size_bound_check(params, table)
             checks.append(
                 _check(
                     f"spectrum-size-p{p}-eps{eps}",
@@ -490,7 +491,7 @@ def _run_spectrum_energy(config: ExperimentConfig, rng: np.random.Generator):
                 ),
             )
             try:
-                rep = spectral.spectrum_mult_energy_report(params, b)
+                rep = spectral.spectrum_mult_energy_report(params, b, table=table)
             except FpcombError as exc:
                 rows.append({"p": p, "epsilon": eps, "error": str(exc)})
                 continue

@@ -58,35 +58,55 @@ class RatioReport:
     ratio: float
 
 
+def _threshold(params: SpectrumParams) -> float:
+    return params.epsilon * len(params.source) * (1 - _MEMBERSHIP_SLACK)
+
+
 def spectrum(params: SpectrumParams, table: SpectrumTable | None = None) -> ResidueSet:
     """Spec_eps(A) = { r : |hat A(r)| >= eps |A| }.
 
-    Always contains 0 and is symmetric.
+    Always contains 0 and is symmetric.  `table`, when given, is dft(A);
+    a caller asking several questions of one set transforms it once.
     """
     a = params.source
     if table is None:
         table = dft(a)
-    threshold = params.epsilon * len(a) * (1 - _MEMBERSHIP_SLACK)
+    threshold = _threshold(params)
     members = [r for r, m in enumerate(table.magnitudes) if m >= threshold]
     return ResidueSet(a.field, tuple(members))
 
 
-def spectrum_size_bound_check(params: SpectrumParams) -> BoundCheck:
+def _require_in_spectrum(
+    params: SpectrumParams, b: ResidueSet, table: SpectrumTable | None
+) -> None:
+    """Raise NotInSpectrum unless B lies in Spec_eps(A); probes only B."""
+    if table is None:
+        table = dft(params.source)
+    mags = table.magnitudes
+    threshold = _threshold(params)
+    if not all(r < len(mags) and mags[r] >= threshold for r in b):
+        raise NotInSpectrum("B must be a subset of Spec_eps(A)")
+
+
+def spectrum_size_bound_check(
+    params: SpectrumParams, table: SpectrumTable | None = None
+) -> BoundCheck:
     """|Spec_eps(A)| <= p / (|A| eps^2); always true (Parseval)."""
-    size = len(spectrum(params))
+    size = len(spectrum(params, table))
     bound = params.source.p / (len(params.source) * params.epsilon**2)
     return BoundCheck(lhs=float(size), rhs=bound, ok=size <= bound)
 
 
 def les_inequality_check(
-    params: SpectrumParams, b: ResidueSet, k: int = 2
+    params: SpectrumParams,
+    b: ResidueSet,
+    k: int = 2,
+    table: SpectrumTable | None = None,
 ) -> BoundCheck:
     """T_k(B) >= eps^{2k} |B|^{2k} |A| / p for B inside Spec_eps(A)."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    spec = spectrum(params).as_set()
-    if not b.as_set() <= spec:
-        raise NotInSpectrum("B must be a subset of Spec_eps(A)")
+    _require_in_spectrum(params, b, table)
     lhs = moment_T_k(b, k)
     rhs = (
         params.epsilon ** (2 * k)
@@ -98,7 +118,10 @@ def les_inequality_check(
 
 
 def spectrum_mult_energy_report(
-    params: SpectrumParams, b: ResidueSet, strict: bool = True
+    params: SpectrumParams,
+    b: ResidueSet,
+    strict: bool = True,
+    table: SpectrumTable | None = None,
 ) -> RatioReport:
     """Ex(B) against the reference |B|^2 delta^{-2/3} eps^{-8/3}.
 
@@ -106,9 +129,7 @@ def spectrum_mult_energy_report(
     enforced when strict; no pass/fail verdict is attached since the
     constant and log factors are unspecified.
     """
-    spec = spectrum(params).as_set()
-    if not b.as_set() <= spec:
-        raise NotInSpectrum("B must be a subset of Spec_eps(A)")
+    _require_in_spectrum(params, b, table)
     delta = float(params.delta)
     size_bound = delta ** (-1 / 6) * params.epsilon ** (-2 / 3) * params.source.p**0.5
     if strict and not len(b) < size_bound:

@@ -6,6 +6,7 @@ import pytest
 from fpcomb import (
     AffineEquation,
     BOUND_CATALOG,
+    BadParameter,
     BudgetExceeded,
     EmptyFamily,
     EquationFamily,
@@ -185,6 +186,13 @@ class TestMaxAvoiding:
             max_avoiding(fld, fam, "exhaustive")
         with pytest.raises(EmptyFamily):
             max_avoiding(PrimeField(7), EquationFamily(PrimeField(7), ()), "greedy")
+
+
+    def test_unknown_mode_rejected(self):
+        fld = PrimeField(101)
+        fam = EquationFamily(fld, (AffineEquation(1, 1, 100, 0),))
+        with pytest.raises(BadParameter, match="exhaustive, greedy, randomized"):
+            max_avoiding(fld, fam, "exhaustiv")
 
 
 class TestDeviationRegime:

@@ -195,6 +195,21 @@ class TestExperiment:
         assert code == EXIT_OK
         assert out_path.read_text().startswith("deviation,")
 
+    def test_unknown_search_mode_exits_nonzero(self, capsys, tmp_path):
+        config = tmp_path / "avoid.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "kind": "avoid_search",
+                    "primes": [29],
+                    "params": {"family_kind": "lambda", "mode": "exhaustiv"},
+                }
+            )
+        )
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config))
+        assert code != EXIT_OK
+        assert "exhaustiv" in err and out == ""
+
     def test_unknown_kind(self, capsys):
         code, _, err = run_cli(
             capsys, "experiment", "--kind", "bogus", "--primes", "11"

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fpcomb import (
@@ -11,6 +16,7 @@ from fpcomb import (
     is_symmetric,
     multiplicative_subgroup,
 )
+from fpcomb.field import _log_tables
 
 
 class TestIsPrime:
@@ -127,3 +133,39 @@ class TestMultiplicativeSubgroup:
             multiplicative_subgroup(PrimeField(7), 4)
         with pytest.raises(InvalidOrder):
             multiplicative_subgroup(PrimeField(7), 0)
+
+
+class TestLogTables:
+    @pytest.mark.parametrize("p", [3, 5, 7, 101, 307, 1009])
+    def test_round_trip(self, p):
+        log, antilog = _log_tables(p)
+        g = PrimeField(p).primitive_root()
+        assert antilog.tolist() == [pow(g, k, p) for k in range(p - 1)]
+        assert sorted(antilog.tolist()) == list(range(1, p))
+        assert log[antilog].tolist() == list(range(p - 1))
+        assert antilog[log[1:]].tolist() == list(range(1, p))
+        assert log[0] == -1
+
+    def test_cached_and_read_only(self):
+        log, antilog = _log_tables(101)
+        assert _log_tables(101)[1] is antilog
+        with pytest.raises(ValueError):
+            antilog[0] = 2
+        with pytest.raises(ValueError):
+            log[1] = 2
+
+    def test_not_built_at_import(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        code = (
+            "import fpcomb\n"
+            "from fpcomb.field import _log_tables\n"
+            "assert _log_tables.cache_info().currsize == 0\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr

@@ -236,6 +236,64 @@ class TestFftPath:
         assert len(calls) == 1
 
 
+class TestRows:
+    """The batched kernel matches the one-row kernel row by row."""
+
+    @staticmethod
+    def _stack(rng, m, n, hi):
+        return np.array(
+            [[rng.randint(0, hi) for _ in range(n)] for _ in range(m)], dtype=np.int64
+        )
+
+    @pytest.mark.parametrize("n, hi", [(10, 1), (292, 1), (306, 1), (520, 1000)])
+    def test_batched_matches_rows(self, rng, monkeypatch, n, hi):
+        f = self._stack(rng, 5, n, hi)
+        g = self._stack(rng, 5, n, hi)
+        f[2] = 0  # an all-zero row
+        want = [naive_convolve(fr, gr, n) for fr, gr in zip(f.tolist(), g.tolist())]
+        rows = []
+        real = harmonic._cyclic_convolve_exact
+        monkeypatch.setattr(
+            harmonic, "_cyclic_convolve_exact", lambda *a: rows.append(a) or real(*a)
+        )
+        got = harmonic._cyclic_convolve_rows(f, g, n)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert rows == []  # one batched transform, no row-by-row fallback
+
+    def test_failed_row_sends_every_row_to_one_row_kernel(self, rng, monkeypatch):
+        n = 400
+        f = self._stack(rng, 4, n, 1)
+        g = self._stack(rng, 4, n, 1)
+        want = [naive_convolve(fr, gr, n) for fr, gr in zip(f.tolist(), g.tolist())]
+        real_irfft = np.fft.irfft
+
+        def faulty_irfft(spec, size):
+            raw = real_irfft(spec, size)
+            if raw.ndim == 2:
+                raw[3, 7] += 0.4  # the residual check fails for row 3 only
+            return raw
+
+        monkeypatch.setattr(np.fft, "irfft", faulty_irfft)
+        sum_f, sum_g = f.sum(axis=1), g.sum(axis=1)
+        bound = np.minimum(sum_g, sum_f)  # 0/1 rows
+        assert harmonic._fft_cyclic(f, g, n, bound, sum_f * sum_g) is None
+        rows = []
+        real = harmonic._cyclic_convolve_exact
+        monkeypatch.setattr(
+            harmonic, "_cyclic_convolve_exact", lambda *a: rows.append(a) or real(*a)
+        )
+        got = harmonic._cyclic_convolve_rows(f, g, n)
+        assert got.tolist() == want
+        assert len(rows) == 4
+
+    def test_huge_values_go_row_by_row(self, rng):
+        n = 12
+        f = self._stack(rng, 3, n, 10**9)
+        g = self._stack(rng, 3, n, 10**9)
+        want = [naive_convolve(fr, gr, n) for fr, gr in zip(f.tolist(), g.tolist())]
+        assert harmonic._cyclic_convolve_rows(f, g, n).tolist() == want
+
+
 class TestKronecker:
     @pytest.mark.parametrize(
         "hi, slot", [(1, 2), (1000, 4), (10**6, 8), (10**12, 11)]
@@ -302,6 +360,35 @@ class TestConvolveMult:
                 for z in range(p):
                     want[z * y % p] += f[y] * g[z]
         assert list(got.values) == want
+
+    def test_length_above_schoolbook_switch(self, rng, monkeypatch):
+        # p - 1 = 306 > _SCHOOLBOOK_MAX_P: the FFT path serves the log domain
+        p = 307
+        assert p - 1 > harmonic._SCHOOLBOOK_MAX_P
+        calls = []
+        real = harmonic._fft_cyclic
+        monkeypatch.setattr(
+            harmonic, "_fft_cyclic", lambda *a: calls.append(a[2]) or real(*a)
+        )
+        fld = PrimeField(p)
+        f = [rng.randint(0, 3) for _ in range(p)]
+        g = [rng.randint(0, 3) for _ in range(p)]
+        got = convolve_mult(IntegerProfile(fld, f), IntegerProfile(fld, g))
+        want = [0] * p
+        for y in range(1, p):
+            for z in range(p):
+                want[z * y % p] += f[y] * g[z]
+        assert got.values.tolist() == want
+        assert calls == [p - 1]
+
+    def test_huge_values_exact(self):
+        p = 11
+        fld = PrimeField(p)
+        f = [0, 10**30, 0, 3] + [0] * (p - 4)
+        g = [10**20, 0, 10**25] + [0] * (p - 3)
+        got = convolve_mult(IntegerProfile(fld, f), IntegerProfile(fld, g))
+        assert got[0] == (10**30 + 3) * 10**20
+        assert got[2] == 10**55 and got[6] == 3 * 10**25
 
     def test_zero_index_of_f_ignored(self):
         fld = PrimeField(7)

@@ -11,6 +11,7 @@ from fpcomb import (
     run_verify,
     write_report,
 )
+from fpcomb import reports, spectral
 
 
 class TestConfig:
@@ -105,6 +106,22 @@ class TestRunExperiment:
         )
         with pytest.raises(ConfigError):
             run_experiment(config)
+
+
+@pytest.mark.parametrize(
+    "kind, params, sets",
+    [("verify", {"trials": 4}, 2 * 4), ("spectrum_energy", {}, 2)],
+)
+def test_one_transform_per_set(monkeypatch, kind, params, sets):
+    """The reports transform each random set once and hand the table to
+    every spectrum check."""
+    calls = []
+    real = reports.dft
+    monkeypatch.setattr(reports, "dft", lambda a: calls.append(a) or real(a))
+    monkeypatch.setattr(spectral, "dft", None)  # no check transforms again
+    config = ExperimentConfig(kind=kind, primes=[101, 103], seed=4, params=params)
+    assert run_experiment(config).all_passed
+    assert len(calls) == sets
 
 
 class TestWriteReport:

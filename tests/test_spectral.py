@@ -142,3 +142,36 @@ class TestMultEnergyReport:
         outside = next(x for x in range(101) if x not in spec)
         with pytest.raises(NotInSpectrum):
             spectrum_mult_energy_report(params, ResidueSet.of(fld, [outside]))
+
+
+class TestTableArgument:
+    """A precomputed dft(A) gives the same answers and skips the transform."""
+
+    def test_checks_agree_with_and_without_table(self, rng, monkeypatch):
+        fld = PrimeField(101)
+        cases = []
+        for _ in range(10):
+            a = random_residue_set(rng, fld, rng.randint(1, 60))
+            params = SpectrumParams(a, rng.uniform(0.2, 1.0))
+            spec = spectrum(params)
+            b = ResidueSet.of(fld, rng.sample(spec.elements, min(3, len(spec))))
+            outside = ResidueSet.of(fld, [x for x in range(101) if x not in spec][:1])
+            want = (
+                spectrum_size_bound_check(params),
+                les_inequality_check(params, b, k=2),
+                spectrum_mult_energy_report(params, b, strict=False),
+            )
+            cases.append((params, dft(a), spec, b, outside, want))
+        monkeypatch.setattr("fpcomb.spectral.dft", None)  # no transform
+        for params, table, spec, b, outside, want in cases:
+            assert spectrum(params, table) == spec
+            assert (
+                spectrum_size_bound_check(params, table),
+                les_inequality_check(params, b, k=2, table=table),
+                spectrum_mult_energy_report(params, b, strict=False, table=table),
+            ) == want
+            if len(outside):
+                with pytest.raises(NotInSpectrum):
+                    les_inequality_check(params, outside, table=table)
+                with pytest.raises(NotInSpectrum):
+                    spectrum_mult_energy_report(params, outside, table=table)
