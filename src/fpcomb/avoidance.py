@@ -191,11 +191,19 @@ def _search(
     """Largest set with no solution of any equation (exhaustive branch and
     bound) or a valid witness (greedy, randomized restarts).
 
-    With allow_diagonal, the solutions x = y = z are allowed.  The chosen
-    set is an int bitmask, and a newcomer r is tested with its bit set.  A
-    solution that uses r either is (r, r, w), probed on its own, or has a
-    member u in its x or y slot; pairing r, as x, y or z, with u as y, x or
-    y leaves one coordinate to solve for and probe.
+    With allow_diagonal, the solutions x = y = z are allowed.  Sets are p-bit
+    int masks.  For each coefficient ratio k = c_j/c_k of the equations,
+    N_k = {-k u : u in A}.  The forbidden mask F holds every residue that
+    completes a solution with two members of A: accepting r adds r to each
+    N_k, then ORs into F, for each equation and each placement of r in slot
+    i and a member (or r) in slot j, N_{c_j/c_k} rotated by
+    d/c_k - (c_i/c_k) r.  A newcomer r is then tested by its bit of F and by
+    three probes per equation for the solutions that use r twice, (r, r, w),
+    (r, w, r) and (w, r, r) with w in A or w = r.  Exhaustive mode passes F
+    and the N_k down the recursion.  F only grows along a branch, so before
+    each candidate the candidates left outside F bound what the branch can
+    still add; it is cut only when it cannot beat the best set found, so
+    the first optimum in search order is returned.
     """
     if mode not in _SEARCH_MODES:
         raise BadParameter(
@@ -205,50 +213,66 @@ def _search(
     if mode == "exhaustive" and p > _EXHAUSTIVE_MAX_P:
         raise BudgetExceeded(f"exhaustive mode supports p <= {_EXHAUSTIVE_MAX_P}")
     order = _constraint_order(p, equations)
-    # per equation and role of r, (d', k_r, k_u): the solved coordinate is
-    # (d' - k_r r - k_u u) % p
-    roles = []
+    full = (1 << p) - 1
+    # Slot k of an equation solved from the other two, with d' = d/c_k:
+    # r in both gives w = d' - ((c_i + c_j)/c_k) r, kept in `twice` as
+    # (d', (c_i + c_j)/c_k); r in slot i and u in A in slot j give the
+    # residues N_{c_j/c_k} rotated by d' - (c_i/c_k) r, kept in `once` as
+    # (index of c_j/c_k, d', c_i/c_k).  Dicts keep each entry once, in order.
+    ratios: dict[int, int] = {}
+    twice: dict[tuple[int, int], None] = {}
+    once: dict[tuple[int, int, int], None] = {}
     for eq in equations:
-        ainv, cinv = fld.inverse(eq.a), fld.inverse(eq.c)
-        roles.append((
-            (eq.d * cinv % p, eq.a * cinv % p, eq.b * cinv % p),  # r=x, u=y: z
-            (eq.d * cinv % p, eq.b * cinv % p, eq.a * cinv % p),  # r=y, u=x: z
-            (eq.d * ainv % p, eq.c * ainv % p, eq.b * ainv % p),  # r=z, u=y: x
-        ))
+        coef = (eq.a, eq.b, eq.c)
+        for k in range(3):
+            kinv = fld.inverse(coef[k])
+            dk = eq.d * kinv % p
+            i, j = (s for s in range(3) if s != k)
+            twice[dk, (coef[i] + coef[j]) * kinv % p] = None
+            for i, j in ((i, j), (j, i)):
+                idx = ratios.setdefault(coef[j] * kinv % p, len(ratios))
+                once[idx, dk, coef[i] * kinv % p] = None
+    negated = [-k % p for k in ratios]
 
-    def blocked(members: list[int], mask: int, r: int) -> bool:
-        for (d1, r1, u1), (d2, r2, u2), (d3, r3, u3) in roles:
-            b1, b2, b3 = d1 - r1 * r, d2 - r2 * r, d3 - r3 * r
-            w = (b1 - u1 * r) % p
-            if mask >> w & 1 and not (allow_diagonal and w == r):
-                return True
-            for u in members:
-                if (
-                    mask >> (b1 - u1 * u) % p & 1
-                    or mask >> (b2 - u2 * u) % p & 1
-                    or mask >> (b3 - u3 * u) % p & 1
-                ):
-                    return True
-        return False
+    def blocked(mask: int, forbidden: int, r: int) -> bool:
+        if forbidden >> r & 1:
+            return True
+        if not allow_diagonal:
+            mask |= 1 << r  # w = r is the solution (r, r, r)
+        return any(mask >> (dk - kr * r) % p & 1 for dk, kr in twice)
 
+    def accept(
+        ns: tuple[int, ...], forbidden: int, r: int
+    ) -> tuple[tuple[int, ...], int]:
+        ns = tuple(n | 1 << m * r % p for n, m in zip(ns, negated))
+        for idx, dk, ki in once:
+            b = (dk - ki * r) % p
+            forbidden |= ns[idx] << b | ns[idx] >> p - b
+        return ns, forbidden & full
+
+    empty = (0,) * len(ratios)
     best: list[int] = []
     if mode == "exhaustive":
+        suffix = [0] * (p + 1)  # suffix[i]: mask of order[i:]
+        for i in range(p - 1, -1, -1):
+            suffix[i] = suffix[i + 1] | 1 << order[i]
 
-        def extend(chosen: list[int], mask: int, pos: int) -> None:
+        def extend(
+            chosen: list[int], mask: int, ns: tuple[int, ...], forbidden: int, pos: int
+        ) -> None:
             nonlocal best
             if len(chosen) > len(best):
                 best = list(chosen)
-            if len(chosen) + (p - pos) <= len(best):
-                return
             for i in range(pos, p):
+                if len(chosen) + (suffix[i] & ~forbidden).bit_count() <= len(best):
+                    return
                 r = order[i]
-                grown = mask | 1 << r
-                if not blocked(chosen, grown, r):
+                if not blocked(mask, forbidden, r):
                     chosen.append(r)
-                    extend(chosen, grown, i + 1)
+                    extend(chosen, mask | 1 << r, *accept(ns, forbidden, r), i + 1)
                     chosen.pop()
 
-        extend([], 0, 0)
+        extend([], 0, empty, 0, 0)
     else:
         rng = random.Random(seed)
         for trial in range(1 if mode == "greedy" else max(1, budget)):
@@ -256,12 +280,13 @@ def _search(
             if mode == "randomized" and trial > 0:
                 rng.shuffle(candidates)
             chosen: list[int] = []
-            mask = 0
+            mask = forbidden = 0
+            ns = empty
             for r in candidates:
-                grown = mask | 1 << r
-                if not blocked(chosen, grown, r):
+                if not blocked(mask, forbidden, r):
                     chosen.append(r)
-                    mask = grown
+                    mask |= 1 << r
+                    ns, forbidden = accept(ns, forbidden, r)
             if len(chosen) > len(best):
                 best = chosen
     return SearchResult(len(best), ResidueSet(fld, tuple(best)))

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 invariant failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -37,7 +38,10 @@ def _common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fpcomb parser, built once per process; parse_args keeps no state
+    between calls, since no option appends or has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="fpcomb", description="prime-field additive combinatorics workbench"
     )

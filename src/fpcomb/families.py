@@ -66,6 +66,13 @@ def canonicalize(fld: PrimeField, eq: AffineEquation) -> ProjectivePoint:
 
 @dataclass(frozen=True)
 class EquationFamily:
+    """Equations keyed by their coefficient ratio (a : b : c) alone.
+
+    Two equations with proportional coefficients are rejected whatever
+    their d, so x + y + z = 0 and x + y + z = 1 cannot share a family: T,
+    T* and the plane coordinates see only the projective point (a : b : c).
+    """
+
     field: PrimeField
     equations: tuple[AffineEquation, ...]
 

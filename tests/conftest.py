@@ -1,8 +1,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from fpcomb import AffineEquation, EquationFamily, PrimeField, ResidueSet
+
+# Property tests draw the same examples on every run and machine.
+settings.register_profile(
+    "fpcomb", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("fpcomb")
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from fpcomb.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INVARIANT_FAILURE,
     EXIT_OK,
+    build_parser,
     main,
 )
 
@@ -215,3 +216,30 @@ class TestExperiment:
             capsys, "experiment", "--kind", "bogus", "--primes", "11"
         )
         assert code == EXIT_CONFIG_ERROR
+
+
+class TestParserReuse:
+    COMMANDS = (
+        ("nonavg", "--p", "23", "--t", "1"),
+        ("collinear", "--p", "7", "--set", "0,1,3"),
+        ("energy", "--p", "7", "--set", "0 1 2", "--k", "3"),
+        ("nonavg", "--p", "13", "--t", "1", "--set", "1 2 4"),
+    )
+
+    def test_back_to_back_matches_fresh_runs(self, capsys):
+        fresh = []
+        for argv in self.COMMANDS:
+            build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        reused = [run_cli(capsys, *argv) for argv in self.COMMANDS]
+        assert build_parser.cache_info().currsize == 1
+        assert reused == fresh
+        assert all(code == EXIT_OK for code, _, _ in reused)
+
+    def test_help_exits_zero(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert "usage: fpcomb" in capsys.readouterr().out
+        assert run_cli(capsys, "collinear", "--p", "5", "--set", "0,1")[0] == EXIT_OK
