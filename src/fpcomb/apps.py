@@ -170,20 +170,6 @@ def is_nonaveraging(a: ResidueSet, t: int) -> bool:
     return True
 
 
-def has_three_term_progression(a: ResidueSet) -> bool:
-    """Direct scanner for x + y = 2z with (x, y, z) not all equal."""
-    p = a.p
-    elems = a.elements
-    aset = a.as_set()
-    inv2 = a.field.inverse(2)
-    for x in elems:
-        for y in elems:
-            z = (x + y) * inv2 % p
-            if z in aset and not (x == y == z):
-                return True
-    return False
-
-
 def max_nonaveraging(
     fld: PrimeField,
     t: int,
@@ -204,19 +190,6 @@ def max_nonaveraging(
         for n in range(1, t + 1)
     ]
     return _search(fld, eqs, True, mode, budget, seed)
-
-
-def naive_max_nonaveraging(fld: PrimeField, t: int) -> int:
-    """2^p oracle for small p."""
-    p = fld.p
-    best = 0
-    for mask in range(1 << p):
-        elems = tuple(r for r in range(p) if mask >> r & 1)
-        if len(elems) <= best:
-            continue
-        if is_nonaveraging(ResidueSet(fld, elems), t):
-            best = len(elems)
-    return best
 
 
 @dataclass(frozen=True)

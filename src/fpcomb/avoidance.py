@@ -170,13 +170,16 @@ def _constraint_order(p: int, equations: Sequence[AffineEquation]) -> list[int]:
 
     A residue r scores one for each equation that x = y = z = r solves;
     no other solution is counted.  Higher scores are tried last, ties
-    broken by value for determinism.
+    broken by value for determinism.  x = y = z = r solves ax + by + cz = d
+    iff (a + b + c) r = d: one root when a + b + c != 0, else every residue
+    (d = 0) or none, and a score added to every residue leaves the order as
+    it is.
     """
     score = [0] * p
     for eq in equations:
-        for r in range(p):
-            if (eq.a + eq.b + eq.c) * r % p == eq.d % p:
-                score[r] += 1
+        s = (eq.a + eq.b + eq.c) % p
+        if s:
+            score[eq.d * pow(s, -1, p) % p] += 1
     return sorted(range(p), key=lambda r: (score[r], r))
 
 
@@ -305,21 +308,6 @@ def max_avoiding(
     if family.p != fld.p:
         raise FieldMismatch(f"family over p={family.p}, field p={fld.p}")
     return _search(fld, family.equations, False, mode, budget, seed)
-
-
-def naive_max_avoiding(fld: PrimeField, family: EquationFamily) -> int:
-    """2^p subset enumeration (oracle for p <= 13ish)."""
-    if len(family) == 0:
-        raise EmptyFamily("cannot search against an empty family")
-    p = fld.p
-    best = 0
-    for mask in range(1 << p):
-        elems = [r for r in range(p) if mask >> r & 1]
-        if len(elems) <= best:
-            continue
-        if avoids(ResidueSet(fld, tuple(elems)), family):
-            best = len(elems)
-    return best
 
 
 @dataclass(frozen=True)

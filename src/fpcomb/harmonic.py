@@ -344,11 +344,6 @@ def profile_dft(f: IntegerProfile) -> np.ndarray:
     return np.fft.fft(f.values.astype(np.float64))
 
 
-def inverse_transform(hat: np.ndarray) -> np.ndarray:
-    """Reconstruct f from its complex transform (double precision)."""
-    return np.fft.ifft(hat)
-
-
 def sup_norm_nonzero(t: SpectrumTable) -> float:
     """max over xi != 0 of |hat A(xi)|."""
     if t.p == 1:

@@ -331,7 +331,7 @@ def _run_catalog(config: ExperimentConfig, rng: np.random.Generator):
         fld = PrimeField(p)
         fam = _family_from_params(config, fld)
         t_val = families.t_invariant(fam).value
-        if len(fam) <= 24:
+        if len(fam) <= families._EXACT_TSTAR_BUDGET:
             tstar = families.t_star_invariant(fam, "exact").value
         else:
             tstar = families.t_star_invariant(fam, "greedy").value

@@ -1,16 +1,29 @@
-"""Reference avoiding-set search with the member-loop check, used as an
-oracle for the forbidden-mask engine in `fpcomb.avoidance._search`.
+"""Oracles for the avoiding-set search.
 
-It shares the candidate order, the modes and the shuffle with the engine
-and differs only in how a newcomer is tested, so the two must return the
-same witness on every input.
+`search_member_loop` is the reference for the forbidden-mask engine in
+`fpcomb.avoidance._search`.  It shares the candidate order, the modes and
+the shuffle with the engine and differs only in how a newcomer is tested,
+so the two must return the same witness on every input.  The 2^p subset
+enumerations give the largest avoiding and non-averaging sets at small p.
 """
 
 import random
 from typing import Sequence
 
-from fpcomb import AffineEquation, PrimeField
-from fpcomb.avoidance import _constraint_order
+from fpcomb import AffineEquation, EmptyFamily, EquationFamily, PrimeField, ResidueSet
+from fpcomb.apps import is_nonaveraging
+from fpcomb.avoidance import avoids
+
+
+def constraint_order_loop(p: int, equations: Sequence[AffineEquation]) -> list[int]:
+    """Residues by ascending count of diagonal solutions, each residue tried
+    against each equation; the oracle for `avoidance._constraint_order`."""
+    score = [0] * p
+    for eq in equations:
+        for r in range(p):
+            if (eq.a + eq.b + eq.c) * r % p == eq.d % p:
+                score[r] += 1
+    return sorted(range(p), key=lambda r: (score[r], r))
 
 
 def search_member_loop(
@@ -30,7 +43,7 @@ def search_member_loop(
     prunes only when the residues left cannot beat the best set.
     """
     p = fld.p
-    order = _constraint_order(p, equations)
+    order = constraint_order_loop(p, equations)
     # per equation and role of r, (d', k_r, k_u): the solved coordinate is
     # (d' - k_r r - k_u u) % p
     roles = []
@@ -91,3 +104,45 @@ def search_member_loop(
             if len(chosen) > len(best):
                 best = chosen
     return tuple(sorted(best))
+
+
+def naive_max_avoiding(fld: PrimeField, family: EquationFamily) -> int:
+    """2^p subset enumeration (oracle for p <= 13ish)."""
+    if len(family) == 0:
+        raise EmptyFamily("cannot search against an empty family")
+    p = fld.p
+    best = 0
+    for mask in range(1 << p):
+        elems = [r for r in range(p) if mask >> r & 1]
+        if len(elems) <= best:
+            continue
+        if avoids(ResidueSet(fld, tuple(elems)), family):
+            best = len(elems)
+    return best
+
+
+def naive_max_nonaveraging(fld: PrimeField, t: int) -> int:
+    """2^p oracle for small p."""
+    p = fld.p
+    best = 0
+    for mask in range(1 << p):
+        elems = tuple(r for r in range(p) if mask >> r & 1)
+        if len(elems) <= best:
+            continue
+        if is_nonaveraging(ResidueSet(fld, elems), t):
+            best = len(elems)
+    return best
+
+
+def has_three_term_progression(a: ResidueSet) -> bool:
+    """Direct scanner for x + y = 2z with (x, y, z) not all equal."""
+    p = a.p
+    elems = a.elements
+    aset = a.as_set()
+    inv2 = a.field.inverse(2)
+    for x in elems:
+        for y in elems:
+            z = (x + y) * inv2 % p
+            if z in aset and not (x == y == z):
+                return True
+    return False

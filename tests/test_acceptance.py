@@ -20,15 +20,12 @@ from fpcomb import (
     SpectrumParams,
     additive_energy,
     avoids,
-    brute_force_t,
-    brute_force_t_star,
     build_family,
     collinear_triples,
     construct_parity_set,
     convolve_add,
     dft,
     energy_star,
-    has_three_term_progression,
     is_nonaveraging,
     les_inequality_check,
     max_avoiding,
@@ -37,8 +34,6 @@ from fpcomb import (
     moment_T_k,
     multiplicative_energy,
     multiplicative_subgroup,
-    naive_max_avoiding,
-    naive_max_nonaveraging,
     profile_dft,
     q_lambda,
     ratio_set_size,
@@ -52,6 +47,12 @@ from fpcomb import (
     t_star_invariant,
 )
 from conftest import random_family, random_residue_set
+from family_oracles import brute_force_t, brute_force_t_star
+from search_oracles import (
+    has_three_term_progression,
+    naive_max_avoiding,
+    naive_max_nonaveraging,
+)
 
 
 def report(criterion: str, started: float, budget: float) -> None:

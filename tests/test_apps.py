@@ -15,12 +15,10 @@ from fpcomb import (
     additive_energy,
     collinear_deviation,
     collinear_triples,
-    has_three_term_progression,
     is_nonaveraging,
     max_nonaveraging,
     mixed_energy_sum,
     multiplicative_subgroup,
-    naive_max_nonaveraging,
     q_lambda,
     ratio_set,
     run_experiment,
@@ -29,6 +27,7 @@ from fpcomb import harmonic
 from fpcomb.apps import _collinear_brute
 from collinear_oracles import collinear_line_sweep, q_lambda_cubic
 from conftest import random_residue_set
+from search_oracles import has_three_term_progression, naive_max_nonaveraging
 
 
 class TestQLambda:

@@ -19,9 +19,9 @@ from fpcomb import (
     count_solutions,
     deviation_regime,
     max_avoiding,
-    naive_max_avoiding,
 )
 from conftest import random_family, random_residue_set
+from search_oracles import naive_max_avoiding
 
 
 def brute_count(fld, eq, a1, a2, a3):

@@ -10,8 +10,6 @@ from fpcomb import (
     PrimeField,
     ProportionalEquations,
     ZeroCoefficient,
-    brute_force_t,
-    brute_force_t_star,
     build_family,
     canonicalize,
     dump_family,
@@ -25,6 +23,7 @@ from fpcomb import (
     verify_witness,
 )
 from conftest import random_family
+from family_oracles import brute_force_t, brute_force_t_star
 
 
 class TestCanonicalize:

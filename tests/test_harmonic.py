@@ -12,11 +12,11 @@ from fpcomb import (
     convolve_mult,
     correlate_add,
     dft,
-    inverse_transform,
     profile_dft,
     sup_norm_nonzero,
 )
 from conftest import random_residue_set
+from harmonic_oracles import inverse_transform
 
 
 def naive_convolve(f, g, p):

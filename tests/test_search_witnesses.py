@@ -18,8 +18,8 @@ from fpcomb import (
     max_avoiding,
     max_nonaveraging,
 )
-from fpcomb.avoidance import _search
-from search_oracles import search_member_loop
+from fpcomb.avoidance import _constraint_order, _search
+from search_oracles import constraint_order_loop, search_member_loop
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
@@ -105,3 +105,28 @@ def test_matches_member_loop_oracle(fld_eqs, allow_diagonal, mode, budget, seed)
     want = search_member_loop(fld, eqs, allow_diagonal, mode, budget, seed)
     assert got.witness.elements == want
     assert got.size == len(want)
+
+
+@st.composite
+def order_instances(draw):
+    """Equations at p <= 31, some with a + b + c = 0 and d = 0 (every residue
+    a diagonal solution) or d != 0 (none)."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31)))
+    kinds = st.sampled_from(("any", "sum0-d0", "sum0-d"))
+    eqs = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        a = draw(st.integers(1, p - 1))
+        b = draw(st.integers(1, p - 1).filter(lambda b: (a + b) % p))
+        if kind == "any":
+            c, d = draw(st.integers(1, p - 1)), draw(st.integers(0, p - 1))
+        else:
+            c = (-a - b) % p
+            d = 0 if kind == "sum0-d0" else draw(st.integers(1, p - 1))
+        eqs.append(AffineEquation(a, b, c, d))
+    return p, eqs
+
+
+@given(order_instances())
+def test_constraint_order_matches_loop(instance):
+    p, eqs = instance
+    assert _constraint_order(p, eqs) == constraint_order_loop(p, eqs)
